@@ -61,12 +61,8 @@ mod unix {
 
     /// Coordinator-only flags, stripped before the shared parsers run.
     struct CampaignArgs {
-        socket: PathBuf,
+        cfg: CampaignOptions,
         spawn: usize,
-        heartbeat: Duration,
-        lease_timeout: Duration,
-        chunk: usize,
-        max_deaths: u32,
     }
 
     fn default_socket() -> PathBuf {
@@ -78,12 +74,8 @@ mod unix {
     /// remaining (grid + common) arguments.
     fn strip_campaign_flags(argv: Vec<String>) -> Result<(CampaignArgs, Vec<String>), String> {
         let mut out = CampaignArgs {
-            socket: default_socket(),
+            cfg: CampaignOptions::at(default_socket()),
             spawn: 0,
-            heartbeat: Duration::from_millis(2000),
-            lease_timeout: Duration::from_millis(120_000),
-            chunk: 1,
-            max_deaths: 5,
         };
         let mut rest = Vec::new();
         let mut it = argv.into_iter();
@@ -97,16 +89,22 @@ mod unix {
             };
             match arg.as_str() {
                 "--socket" => {
-                    out.socket = it
+                    out.cfg.socket = it
                         .next()
                         .map(PathBuf::from)
                         .ok_or("--socket needs a value")?;
                 }
                 "--spawn" => out.spawn = num("--spawn")? as usize,
-                "--heartbeat-ms" => out.heartbeat = Duration::from_millis(num("--heartbeat-ms")?),
-                "--lease-ms" => out.lease_timeout = Duration::from_millis(num("--lease-ms")?),
-                "--chunk" => out.chunk = num("--chunk")? as usize,
-                "--max-deaths" => out.max_deaths = num("--max-deaths")? as u32,
+                "--heartbeat-ms" => {
+                    let ms = num("--heartbeat-ms")?;
+                    out.cfg = out.cfg.heartbeat(Duration::from_millis(ms));
+                }
+                "--lease-ms" => {
+                    let ms = num("--lease-ms")?;
+                    out.cfg = out.cfg.lease_timeout(Duration::from_millis(ms));
+                }
+                "--chunk" => out.cfg = out.cfg.chunk(num("--chunk")? as usize),
+                "--max-deaths" => out.cfg = out.cfg.max_deaths(num("--max-deaths")? as u32),
                 other => rest.push(other.to_string()),
             }
         }
@@ -164,7 +162,7 @@ mod unix {
         // Workers first: they retry the connect long enough to cover the
         // coordinator still binding the socket.
         let exe = std::env::current_exe().map_err(|e| format!("cannot find own binary: {e}"))?;
-        let wargv = worker_argv(&shared, &campaign.socket);
+        let wargv = worker_argv(&shared, &campaign.cfg.socket);
         let mut children = Vec::new();
         for _ in 0..campaign.spawn {
             let child = std::process::Command::new(&exe)
@@ -174,12 +172,7 @@ mod unix {
             children.push(child);
         }
 
-        let cfg = CampaignOptions::at(&campaign.socket)
-            .heartbeat(campaign.heartbeat)
-            .lease_timeout(campaign.lease_timeout)
-            .chunk(campaign.chunk)
-            .max_deaths(campaign.max_deaths)
-            .workers_hint(campaign.spawn);
+        let cfg = campaign.cfg.workers_hint(campaign.spawn);
         let report = coordinate(spec.cells(), &opts, &cfg).map_err(|e| e.to_string())?;
 
         for mut child in children {
@@ -216,5 +209,23 @@ mod unix {
         let opts = args.sweep_options();
         work(spec.cells(), &opts, &socket).map_err(|e| e.to_string())?;
         Ok(ExitCode::SUCCESS)
+    }
+
+    #[cfg(test)]
+    mod tests {
+        use super::*;
+
+        #[test]
+        fn no_flags_yield_the_campaign_option_defaults() {
+            let (args, rest) = strip_campaign_flags(vec!["--tiny".to_string()]).unwrap();
+            // The defaults the module docs advertise.
+            assert_eq!(args.cfg.socket, default_socket());
+            assert_eq!(args.cfg.heartbeat, Duration::from_millis(2000));
+            assert_eq!(args.cfg.lease_timeout, Duration::from_millis(120_000));
+            assert_eq!(args.cfg.chunk, 1);
+            assert_eq!(args.cfg.max_deaths, 5);
+            assert_eq!(args.spawn, 0);
+            assert_eq!(rest, ["--tiny"]);
+        }
     }
 }

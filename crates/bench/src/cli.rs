@@ -1,7 +1,7 @@
-//! Command-line flags shared by every figure binary.
+//! Command-line flags shared by every harness binary.
 //!
-//! All 15 binaries accept the same sweep-controlling flags, parsed here
-//! once instead of ad hoc per binary:
+//! `fig` and the grid binaries accept the same sweep-controlling flags,
+//! parsed here once instead of ad hoc per binary:
 //!
 //! ```text
 //! --paper-scale      use the paper's full benchmark sizes (default: fast)
@@ -31,8 +31,8 @@
 //!                    (implies --quiet: both share the terminal)
 //! ```
 //!
-//! Remaining non-flag arguments are collected as positionals (the `diag`
-//! binary takes a benchmark name).
+//! Remaining non-flag arguments are collected as positionals (`fig` takes
+//! a figure id, `diag` a benchmark name).
 
 use gputm::sweep::{FailurePolicy, ResultCache, SweepOptions};
 use gputm::telemetry::{DashboardSink, JsonlSink, PromSink, Telemetry, TelemetrySink};

@@ -3,9 +3,9 @@
 //! from a [`Harness`] and prints the paper's rows.
 //!
 //! Splitting spec from render is what lets the harness run an entire
-//! figure — or the union of all thirteen, for `all_figures` — as one
-//! parallel, disk-cached sweep before any formatting happens. The figure
-//! binaries are one-line wrappers over [`run_standalone`].
+//! figure — or the union of all fourteen, for `fig all` — as one
+//! parallel, disk-cached sweep before any formatting happens. The `fig`
+//! binary is a thin wrapper over [`select`] and [`run`].
 
 use crate::{banner, optimal_concurrency, print_header, print_row, Harness};
 use getm::ApproxMode;
@@ -23,7 +23,7 @@ pub struct Figure {
     pub render: fn(&Harness),
 }
 
-/// All fourteen reproductions, in the order `all_figures` prints them.
+/// All fourteen reproductions, in the order `fig all` prints them.
 pub const ALL: [Figure; 14] = [
     Figure {
         id: "fig3",
@@ -102,19 +102,49 @@ pub fn by_id(id: &str) -> Option<&'static Figure> {
     ALL.iter().find(|f| f.id == id)
 }
 
-/// The standalone-binary entry point: build a harness from the command
-/// line, prefetch the figure's cells in parallel, render.
+/// The figures `fig <id>` runs: the one named `id`, or every figure for
+/// `all`.
+///
+/// # Errors
+///
+/// Names an unknown id.
+pub fn select(id: &str) -> Result<&'static [Figure], String> {
+    if id == "all" {
+        return Ok(&ALL);
+    }
+    by_id(id)
+        .map(std::slice::from_ref)
+        .ok_or_else(|| format!("unknown figure id {id:?}"))
+}
+
+/// Runs `figs` on `h`. One figure prefetches its cells in parallel,
+/// renders, and honors `--trace`/`--probe`. Several figures prefetch the
+/// deduplicated union of their cells as ONE sweep — overlapping cells
+/// (Figs. 10-12 and 15-16 reuse the same optimal-concurrency runs)
+/// simulate exactly once — and render each under a banner.
 ///
 /// # Panics
 ///
-/// Panics on an unknown id (a bug in the calling binary) or a failed run.
-pub fn run_standalone(id: &str) {
-    let f = by_id(id).unwrap_or_else(|| panic!("unknown figure id {id:?}"));
-    let h = Harness::from_cli();
-    let spec = (f.spec)(h.scale());
-    h.prefetch(&spec);
-    (f.render)(&h);
-    h.emit_trace_artifacts(&spec);
+/// Panics on a failed run (see [`Harness::prefetch`]).
+pub fn run(figs: &[Figure], h: &Harness) {
+    if let [f] = figs {
+        let spec = (f.spec)(h.scale());
+        h.prefetch(&spec);
+        (f.render)(h);
+        h.emit_trace_artifacts(&spec);
+        return;
+    }
+    let mut union = ExperimentSpec::default();
+    for f in figs {
+        union.extend((f.spec)(h.scale()));
+    }
+    union.dedup();
+    eprintln!("fig: {} distinct cells", union.len());
+    h.prefetch(&union);
+    for f in figs {
+        println!("\n############ {} ############", f.id);
+        (f.render)(h);
+    }
 }
 
 /// The six concurrency limits the paper sweeps, with their display names.

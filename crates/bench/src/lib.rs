@@ -1,22 +1,22 @@
 //! # bench
 //!
-//! The experiment harness: one binary per figure and table of the GETM
-//! paper's evaluation (Sec. VI), plus criterion micro-benchmarks of the
-//! hardware structures.
+//! The experiment harness: the `fig` binary reproduces every figure and
+//! table of the GETM paper's evaluation (Sec. VI), and criterion
+//! micro-benchmarks cover the hardware structures.
 //!
-//! Every binary prints the same rows/series the paper reports, normalized
+//! Each figure prints the same rows/series the paper reports, normalized
 //! the same way, so EXPERIMENTS.md can record paper-vs-measured side by
 //! side. Run them with:
 //!
 //! ```text
-//! cargo run -p bench --release --bin fig10
-//! cargo run -p bench --release --bin all_figures   # everything
+//! cargo run -p bench --release --bin fig -- fig10
+//! cargo run -p bench --release --bin fig -- all    # everything
 //! ```
 //!
-//! Each binary declares its cells as an [`gputm::sweep::ExperimentSpec`]
+//! Each figure declares its cells as an [`gputm::sweep::ExperimentSpec`]
 //! (see [`figures`]), prefetches them through the parallel sweep executor,
 //! then renders from the [`Harness`]'s memo — so figures use every core
-//! and `all_figures` simulates each distinct cell exactly once. Finished
+//! and `fig all` simulates each distinct cell exactly once. Finished
 //! cells persist in an on-disk result cache keyed by a stable hash of the
 //! full cell description, making reruns nearly free. See [`cli`] for the
 //! shared flags (`--paper-scale`, `--jobs`, `--serial`, `--no-cache`,
@@ -32,7 +32,7 @@ pub mod traceview;
 
 use gputm::config::{GpuConfig, TmSystem};
 use gputm::metrics::Metrics;
-use gputm::sweep::{run_sweep, run_sweep_report, CellSpec, ExperimentSpec, SweepOptions};
+use gputm::sweep::{run_sweep_report, CellSpec, ExperimentSpec, SweepOptions};
 use std::collections::HashMap;
 use std::sync::Mutex;
 use workloads::suite::{Benchmark, Scale};
@@ -97,9 +97,9 @@ impl Harness {
         }
     }
 
-    /// A harness configured from the process's command line (see [`cli`]).
-    pub fn from_cli() -> Self {
-        let args = cli::Args::parse();
+    /// A harness configured from parsed command-line arguments (see
+    /// [`cli`]).
+    pub fn from_args(args: cli::Args) -> Self {
         let mut h = Harness::new(args.scale, args.sweep_options());
         h.trace = args.trace;
         h.probe = args.probe;
@@ -149,20 +149,10 @@ impl Harness {
     pub fn run(&self, bench: Benchmark, system: TmSystem, cfg: &GpuConfig) -> Metrics {
         let cell = CellSpec::new(bench, self.scale, system, cfg.clone());
         let key = cell.cache_key();
-        if let Some(m) = self.memo.lock().expect("memo lock").get(&key) {
-            return m.clone();
+        if !self.memo.lock().expect("memo lock").contains_key(&key) {
+            self.prefetch(&ExperimentSpec::from_cells(vec![cell]));
         }
-        let spec = ExperimentSpec::from_cells(vec![cell]);
-        let outcome = run_sweep(&spec, &self.opts)
-            .unwrap_or_else(|e| panic!("{bench} under {system}: {e}"))
-            .pop()
-            .expect("one cell in, one outcome out");
-        outcome.metrics.assert_correct();
-        self.memo
-            .lock()
-            .expect("memo lock")
-            .insert(key, outcome.metrics.clone());
-        outcome.metrics
+        self.memo.lock().expect("memo lock")[&key].clone()
     }
 
     /// Like [`Harness::run`] with the Table IV optimal concurrency applied
@@ -267,5 +257,14 @@ mod tests {
         assert!(figures::by_id("fig3").is_some());
         assert!(figures::by_id("table4").is_some());
         assert!(figures::by_id("fig99").is_none());
+    }
+
+    #[test]
+    fn fig_selects_one_figure_or_all_in_order() {
+        let ids = |figs: &[figures::Figure]| figs.iter().map(|f| f.id).collect::<Vec<_>>();
+        assert_eq!(ids(figures::select("all").unwrap()), ids(&figures::ALL));
+        assert_eq!(ids(figures::select("fig13").unwrap()), ["fig13"]);
+        let err = figures::select("fig99").map(ids).unwrap_err();
+        assert!(err.contains("fig99"), "{err}");
     }
 }

@@ -1,11 +1,11 @@
-//! The campaign coordinator: lease bookkeeping, failure detection, and
+//! The campaign coordinator: lease scheduling, failure detection, and
 //! the single source of truth for the final report.
 //!
-//! The coordinator owns exactly the state the single-process executor
-//! keeps in [`exec::run_report`]'s collector loop — per-cell slots in
-//! spec order, the fsynced [`SweepJournal`], terminal telemetry — plus
-//! the lease table that makes worker processes disposable. Detection
-//! duties are split three ways:
+//! The coordinator keeps its books in the same [`Ledger`] the
+//! single-process executor uses — per-cell slots in spec order, the
+//! fsynced sweep journal, terminal telemetry — and adds only the lease
+//! table that makes worker processes disposable. Detection duties are
+//! split three ways:
 //!
 //! * **process exit** — the worker's socket EOFs; its leases requeue
 //!   immediately.
@@ -32,9 +32,10 @@ use super::protocol::{
 };
 use super::CampaignOptions;
 use crate::sweep::exec;
+use crate::sweep::ledger::Ledger;
 use crate::sweep::{
-    sweep_digest, CellFailure, CellSpec, FailureKind, FailurePolicy, SweepJournal, SweepOptions,
-    SweepOutcome, SweepReport,
+    sweep_digest, CellFailure, CellSpec, FailureKind, FailurePolicy, SweepOptions, SweepOutcome,
+    SweepReport,
 };
 use crate::telemetry::{intern_failure_kind, CampaignEvent};
 use std::collections::HashMap;
@@ -84,21 +85,16 @@ struct Coordinator<'a> {
     opts: &'a SweepOptions,
     cfg: &'a CampaignOptions,
     digest: String,
-    journal: Option<SweepJournal>,
+    ledger: Ledger<'a>,
     /// Writer halves; readers live on their own threads.
     conns: HashMap<u64, UnixStream>,
     /// Connections that completed the `hello` handshake, by worker pid.
     ready: HashMap<u64, u32>,
     leases: HashMap<u64, Lease>,
     track: Vec<CellTrack>,
-    slots: Vec<Option<Result<SweepOutcome, CellFailure>>>,
-    done: usize,
-    cache_hits: usize,
-    failed: usize,
     /// Fail-fast tripped: no further grants, pending cells become skipped.
     stopped: bool,
     next_lease: u64,
-    started: Instant,
 }
 
 /// Runs a distributed campaign over `cells` as its coordinator: binds
@@ -106,10 +102,11 @@ struct Coordinator<'a> {
 /// reassigns lost work, and returns the same [`SweepReport`] a
 /// single-process [`crate::sweep::run_sweep_report`] of the grid would.
 ///
-/// The coordinator's durable state is the same fsynced [`SweepJournal`]
-/// the single-process executor writes: a SIGKILLed coordinator restarted
-/// with [`SweepOptions::resume`] recalls completed cells from the cache
-/// and re-runs only the rest, byte-identically.
+/// The coordinator's durable state is the same fsynced
+/// [`crate::sweep::SweepJournal`] the single-process executor writes: a
+/// SIGKILLed coordinator restarted with [`SweepOptions::resume`] recalls
+/// completed cells from the cache and re-runs only the rest,
+/// byte-identically.
 ///
 /// # Errors
 ///
@@ -129,11 +126,7 @@ pub fn coordinate(
     }
     let total = cells.len();
     if total == 0 {
-        return Ok(SweepReport {
-            outcomes: Vec::new(),
-            failures: Vec::new(),
-            skipped: 0,
-        });
+        return Ok(SweepReport::default());
     }
 
     // A SIGKILLed predecessor leaves both a stale socket file and a stale
@@ -154,16 +147,13 @@ pub fn coordinate(
         std::thread::spawn(move || accept_loop(&listener, &tx, &stop))
     };
 
-    let digest = sweep_digest(cells);
-    let journal = open_journal(opts, &digest);
-    let started = Instant::now();
-    let now = started;
+    let now = Instant::now();
     let mut c = Coordinator {
         cells,
         opts,
         cfg,
-        digest,
-        journal,
+        digest: sweep_digest(cells),
+        ledger: Ledger::open(cells, opts, cfg.workers_hint),
         conns: HashMap::new(),
         ready: HashMap::new(),
         leases: HashMap::new(),
@@ -177,16 +167,9 @@ pub fn coordinate(
             };
             total
         ],
-        slots: std::iter::repeat_with(|| None).take(total).collect(),
-        done: 0,
-        cache_hits: 0,
-        failed: 0,
         stopped: false,
         next_lease: 1,
-        started,
     };
-    c.announce();
-    c.prefill_from_journal();
 
     while !c.finished() {
         match rx.recv_timeout(POLL_INTERVAL) {
@@ -207,33 +190,7 @@ pub fn coordinate(
     stop.store(true, Ordering::SeqCst);
     accept.join().ok();
     std::fs::remove_file(&cfg.socket).ok();
-
-    let mut report = SweepReport {
-        outcomes: Vec::new(),
-        failures: Vec::new(),
-        skipped: 0,
-    };
-    for slot in c.slots {
-        match slot {
-            Some(Ok(o)) => report.outcomes.push(o),
-            Some(Err(f)) => report.failures.push(f),
-            None => report.skipped += 1,
-        }
-    }
-    if report.is_complete() {
-        if let Some(j) = c.journal.take() {
-            j.finish().ok();
-        }
-    }
-    let tel = &opts.telemetry;
-    tel.emit(|| CampaignEvent::CampaignFinished {
-        done: report.outcomes.len(),
-        failed: report.failures.len(),
-        skipped: report.skipped,
-        elapsed_ms: started.elapsed().as_millis() as u64,
-    });
-    tel.flush();
-    Ok(report)
+    Ok(c.ledger.into_report())
 }
 
 /// Accepts connections until `stop`, spawning one reader thread per
@@ -291,90 +248,15 @@ fn accept_loop(listener: &UnixListener, tx: &mpsc::Sender<Msg>, stop: &Arc<Atomi
     }
 }
 
-/// Opens the campaign journal next to the result cache, mirroring the
-/// single-process executor's logged-not-fatal discipline.
-fn open_journal(opts: &SweepOptions, digest: &str) -> Option<SweepJournal> {
-    let cache = opts.result_cache.as_ref()?;
-    match SweepJournal::open(cache.dir(), digest, opts.resume) {
-        Ok(j) => Some(j),
-        Err(e) => {
-            eprintln!("campaign: journal unavailable ({e}); crash resume disabled");
-            None
-        }
-    }
-}
-
 impl Coordinator<'_> {
     fn total(&self) -> usize {
         self.cells.len()
     }
 
-    fn announce(&self) {
-        let (total, workers, resumed) = (
-            self.total(),
-            self.cfg.workers_hint,
-            self.journal.as_ref().map_or(0, SweepJournal::completed),
-        );
-        let tel = &self.opts.telemetry;
-        tel.emit(|| CampaignEvent::CampaignStarted {
-            total,
-            workers,
-            resumed,
-        });
-        if tel.is_on() {
-            for (idx, cell) in self.cells.iter().enumerate() {
-                tel.emit(|| CampaignEvent::CellQueued {
-                    idx,
-                    label: cell.label(),
-                });
-            }
-        }
-    }
-
-    /// Serves journaled cells from the cache before any lease is granted:
-    /// a resumed coordinator recalls everything its SIGKILLed predecessor
-    /// finished, so workers only ever see the remainder.
-    fn prefill_from_journal(&mut self) {
-        let Some(j) = &self.journal else { return };
-        let recalled: Vec<(usize, String)> = self
-            .cells
-            .iter()
-            .enumerate()
-            .map(|(i, c)| (i, c.cache_key()))
-            .filter(|(_, key)| j.is_completed(key))
-            .collect();
-        if recalled.is_empty() {
-            return;
-        }
-        if self.opts.progress {
-            eprintln!(
-                "campaign: resuming {} — {}/{} cells already complete",
-                j.path().display(),
-                recalled.len(),
-                self.total()
-            );
-        }
-        let cache = self.opts.result_cache.as_ref().expect("campaign has cache");
-        for (idx, key) in recalled {
-            // A journaled key missing from the cache (eviction, corrupt
-            // entry) simply recomputes: the journal is accounting, the
-            // cache is truth.
-            if let Some(metrics) = cache.load(&key) {
-                let outcome = SweepOutcome {
-                    cell: self.cells[idx].clone(),
-                    metrics,
-                    cached: true,
-                    elapsed: Duration::ZERO,
-                };
-                self.finish_cell(idx, Ok(outcome));
-            }
-        }
-    }
-
     /// All cells terminal, or fail-fast stopped with no lease left to
     /// drain.
     fn finished(&self) -> bool {
-        self.slots.iter().all(Option::is_some) || (self.stopped && self.leases.is_empty())
+        self.ledger.all_filled() || (self.stopped && self.leases.is_empty())
     }
 
     fn send_to(&mut self, conn: u64, msg: &ToWorker) {
@@ -465,12 +347,14 @@ impl Coordinator<'_> {
         let now = Instant::now();
         let grant: Vec<usize> = (0..self.total())
             .filter(|&i| {
-                self.slots[i].is_none() && !self.track[i].leased && now >= self.track[i].not_before
+                !self.ledger.is_filled(i)
+                    && !self.track[i].leased
+                    && now >= self.track[i].not_before
             })
             .take(n.clamp(1, self.cfg.chunk.max(1)))
             .collect();
         if grant.is_empty() {
-            let reply = if self.slots.iter().all(Option::is_some) {
+            let reply = if self.ledger.all_filled() {
                 ToWorker::Done
             } else {
                 // Cells exist but are leased elsewhere or backing off.
@@ -523,7 +407,7 @@ impl Coordinator<'_> {
         }
         self.release(lease, idx);
         let label = self.cells[idx].label();
-        if self.slots[idx].is_some() {
+        if self.ledger.is_filled(idx) {
             // Two workers raced on one digest (a revoked lease's worker
             // finished late). The cache is content-addressed, so both
             // wrote identical bytes: logged, not fatal.
@@ -546,7 +430,7 @@ impl Coordinator<'_> {
             cached,
             elapsed: Duration::from_millis(elapsed_ms),
         };
-        self.finish_cell(idx, Ok(outcome));
+        self.ledger.record(idx, Ok(outcome));
     }
 
     fn on_failed(&mut self, lease: u64, idx: usize, kind: &str, attempts: u32, error: String) {
@@ -559,17 +443,13 @@ impl Coordinator<'_> {
         };
         self.release(lease, idx);
         let label = self.cells[idx].label();
-        if self.slots[idx].is_some() {
+        if self.ledger.is_filled(idx) {
             eprintln!("campaign: duplicate failure for {label} ignored");
             return;
         }
         self.track[idx].attempts += attempts.max(1);
-        let budget = match self.opts.failure_policy {
-            FailurePolicy::Retry { attempts } => attempts.max(1),
-            _ => 1,
-        };
         let spent = self.track[idx].attempts;
-        if spent < budget {
+        if spent < self.opts.failure_policy.attempts() {
             // Same backoff curve as the single-process executor, applied
             // as a not-before horizon instead of a worker-side sleep.
             self.track[idx].not_before = Instant::now() + exec::retry_backoff(spent + 1);
@@ -593,7 +473,7 @@ impl Coordinator<'_> {
                 .first_grant
                 .map_or(Duration::ZERO, |t| t.elapsed()),
         };
-        self.finish_cell(idx, Err(failure));
+        self.ledger.record(idx, Err(failure));
         if self.opts.failure_policy == FailurePolicy::FailFast && !self.stopped {
             self.stop_campaign();
         }
@@ -685,7 +565,7 @@ impl Coordinator<'_> {
         };
         for idx in l.cells {
             self.track[idx].leased = false;
-            if self.slots[idx].is_none() {
+            if !self.ledger.is_filled(idx) {
                 eprintln!(
                     "campaign: reassigning {} ({reason})",
                     self.cells[idx].label()
@@ -717,59 +597,9 @@ impl Coordinator<'_> {
                 .first_grant
                 .map_or(Duration::ZERO, |t| t.elapsed()),
         };
-        self.finish_cell(idx, Err(failure));
+        self.ledger.record(idx, Err(failure));
         if self.opts.failure_policy == FailurePolicy::FailFast && !self.stopped {
             self.stop_campaign();
         }
-    }
-
-    /// Records a cell's terminal result: slot, counters, journal, the
-    /// cell's one terminal telemetry event, a throughput sample, and the
-    /// shared progress line.
-    fn finish_cell(&mut self, idx: usize, result: Result<SweepOutcome, CellFailure>) {
-        debug_assert!(self.slots[idx].is_none(), "terminal results are unique");
-        self.done += 1;
-        if self.opts.progress {
-            exec::report(self.done, self.total(), &result, self.started);
-        }
-        match &result {
-            Ok(o) if o.cached => self.cache_hits += 1,
-            Err(_) => self.failed += 1,
-            _ => {}
-        }
-        let tel = &self.opts.telemetry;
-        exec::emit_terminal(tel, idx, &result);
-        let (done, total) = (self.done, self.total());
-        let (cache_hits, failures) = (self.cache_hits, self.failed);
-        let started = self.started;
-        tel.emit(|| {
-            let secs = started.elapsed().as_secs_f64();
-            let rate = if secs > 0.0 { done as f64 / secs } else { 0.0 };
-            let eta_ms = if rate > 0.0 && total > done {
-                ((total - done) as f64 / rate * 1000.0) as u64
-            } else {
-                0
-            };
-            CampaignEvent::Throughput {
-                done,
-                total,
-                cache_hits,
-                failures,
-                cells_per_sec: rate,
-                eta_ms,
-            }
-        });
-        if result.is_ok() {
-            if let Some(j) = self.journal.as_mut() {
-                let key = self.cells[idx].cache_key();
-                if let Err(e) = j.record(&key) {
-                    eprintln!(
-                        "campaign: could not journal {}: {e}",
-                        self.cells[idx].label()
-                    );
-                }
-            }
-        }
-        self.slots[idx] = Some(result);
     }
 }

@@ -19,11 +19,14 @@
 //!   worker (socket EOF), with its heartbeats (three missed intervals),
 //!   or at a hard wall-clock deadline — whichever comes first — and its
 //!   cells are reassigned, up to a reassignment cap per cell.
-//! * **The coordinator's durable state is the sweep journal.** The same
-//!   fsynced append-only journal single-process sweeps keep (guarded by
-//!   a pid-stamped lock file) records each completed cell, so a
+//! * **The coordinator keeps the same books as a single-process sweep.**
+//!   Both front ends record results in one shared ledger
+//!   (`crate::sweep::ledger`), whose fsynced append-only journal (guarded
+//!   by a pid-stamped lock file) records each completed cell, so a
 //!   SIGKILLed coordinator restarted with `resume` recalls finished
-//!   cells from the cache and hands out only the remainder.
+//!   cells from the cache and hands out only the remainder. Only the
+//!   scheduling differs: leases over a socket here, work-stealing threads
+//!   in-process.
 //! * **Telemetry stays coherent.** Workers stream per-cell events over
 //!   the socket; the coordinator re-stamps and forwards only
 //!   non-terminal ones, emitting every terminal event itself — exactly

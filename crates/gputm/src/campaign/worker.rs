@@ -27,7 +27,7 @@ use super::protocol::{
     Framed, LineReader, ToCoordinator, ToWorker, POLL_INTERVAL, PROTOCOL_VERSION,
 };
 use crate::sweep::exec;
-use crate::sweep::{sweep_digest, CellSpec, FailureKind, FailurePolicy, SweepOptions};
+use crate::sweep::{sweep_digest, CellSpec, FailurePolicy, SweepOptions};
 use crate::telemetry::{CampaignEvent, Telemetry, TelemetrySink};
 use sim_core::CancelToken;
 use std::io::Write;
@@ -285,18 +285,12 @@ fn run_lease(
                     // coordinator's to reassign, not ours to report.
                     return Ok(());
                 }
-                let kind = match &failure.error {
-                    FailureKind::Sim(_) => "sim",
-                    FailureKind::Panic(_) => "panic",
-                    FailureKind::TimedOut { .. } => "timeout",
-                    FailureKind::Remote { kind, .. } => kind,
-                };
                 send(
                     writer,
                     &ToCoordinator::Failed {
                         lease,
                         idx,
-                        kind: kind.to_string(),
+                        kind: failure.error.tag().to_string(),
                         attempts: failure.attempts,
                         error: failure.error.to_string(),
                     },

@@ -79,8 +79,8 @@ pub mod prelude {
     pub use crate::metrics::{HostProfile, Metrics, ShardProfile};
     pub use crate::runner::{RunOptions, RunOutcome, Sim};
     pub use crate::sweep::{
-        run_sweep, run_sweep_report, CellFailure, CellSpec, ExperimentSpec, FailureKind,
-        FailurePolicy, ResultCache, SweepOptions, SweepOutcome, SweepReport,
+        run_sweep_report, CellFailure, CellSpec, ExperimentSpec, FailureKind, FailurePolicy,
+        ResultCache, SweepOptions, SweepOutcome, SweepReport,
     };
     pub use crate::telemetry::{CampaignEvent, Telemetry, TelemetrySink};
     pub use crate::verify::{Checker, Verdict, VerifiedRun, Violation, ViolationKind};

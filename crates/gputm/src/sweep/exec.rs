@@ -9,14 +9,15 @@
 //! Each cell attempt runs inside `catch_unwind` with an optional
 //! wall-clock watchdog thread holding a [`CancelToken`]: a panicking or
 //! runaway cell is contained to its slot and reported as a
-//! [`CellFailure`], per the sweep's [`FailurePolicy`]. Completed cells
-//! are journaled next to the result cache so a killed sweep resumes.
+//! [`CellFailure`], per the sweep's [`FailurePolicy`]. The ledger
+//! journals completed cells next to the result cache so a killed sweep
+//! resumes.
 //!
 //! Everything is built from `std` scoped threads and channels; the
 //! determinism argument needs no synchronization help because each cell
 //! is a pure function of its [`CellSpec`].
 
-use super::journal::{sweep_digest, SweepJournal};
+use super::ledger::{CellResult, Ledger};
 use super::{
     CellFailure, CellSpec, FailureKind, FailurePolicy, SweepOptions, SweepOutcome, SweepReport,
 };
@@ -45,79 +46,26 @@ impl std::fmt::Debug for CellRunner {
     }
 }
 
-/// Legacy error-surfacing wrapper around [`run_report`]: every cell
-/// executes (fail-fast is widened to collect-all so behaviour matches the
-/// pre-report executor), and the first spec-order failure surfaces — a
-/// simulation error as `Err`, a panic by resuming it on this thread.
-pub(super) fn run(cells: &[CellSpec], opts: &SweepOptions) -> Result<Vec<SweepOutcome>, SimError> {
-    let mut opts = opts.clone();
-    if opts.failure_policy == FailurePolicy::FailFast {
-        opts.failure_policy = FailurePolicy::CollectAll;
-    }
-    let report = run_report(cells, &opts);
-    if let Some(first) = report.failures.into_iter().next() {
-        return Err(match first.error {
-            FailureKind::Sim(e) => e,
-            FailureKind::Panic(msg) => std::panic::resume_unwind(Box::new(msg)),
-            FailureKind::TimedOut { cycle, .. } => SimError::Interrupted { cycle },
-            FailureKind::Remote { .. } => {
-                unreachable!("remote failures only arise in distributed campaigns")
-            }
-        });
-    }
-    Ok(report.outcomes)
-}
-
 /// Runs `cells` on `opts.resolved_threads()` workers under the options'
-/// failure policy, returning a [`SweepReport`] in input order.
+/// failure policy, returning a [`SweepReport`] in input order. Only the
+/// scheduling lives here; the books are kept by the shared [`Ledger`].
 pub(super) fn run_report(cells: &[CellSpec], opts: &SweepOptions) -> SweepReport {
     let total = cells.len();
     if total == 0 {
-        return SweepReport {
-            outcomes: Vec::new(),
-            failures: Vec::new(),
-            skipped: 0,
-        };
+        return SweepReport::default();
     }
-    let mut journal = open_journal(cells, opts);
-    if let Some(j) = &journal {
-        let done = j.completed();
-        if opts.progress && done > 0 {
-            eprintln!(
-                "sweep: resuming {} — {done}/{total} cells already complete",
-                j.path().display()
-            );
-        }
-    }
-    let resumed = journal.as_ref().map_or(0, SweepJournal::completed);
-
     let workers = opts.resolved_threads().min(total).max(1);
-    let tel = &opts.telemetry;
-    tel.emit(|| CampaignEvent::CampaignStarted {
-        total,
-        workers,
-        resumed,
-    });
-    if tel.is_on() {
-        for (idx, cell) in cells.iter().enumerate() {
-            tel.emit(|| CampaignEvent::CellQueued {
-                idx,
-                label: cell.label(),
-            });
-        }
-    }
+    let mut ledger = Ledger::open(cells, opts, workers);
+    // Cells a resumed journal recalled are already in the books.
+    let pending: Vec<usize> = (0..total).filter(|&i| !ledger.is_filled(i)).collect();
     let queues: Vec<Mutex<VecDeque<usize>>> = (0..workers)
-        .map(|w| Mutex::new((w..total).step_by(workers).collect()))
+        .map(|w| Mutex::new(pending.iter().copied().skip(w).step_by(workers).collect()))
         .collect();
 
     let fail_fast = opts.failure_policy == FailurePolicy::FailFast;
     let stop = AtomicBool::new(false);
-    let mut slots: Vec<Option<Result<SweepOutcome, CellFailure>>> =
-        std::iter::repeat_with(|| None).take(total).collect();
-    let started = Instant::now();
-
     std::thread::scope(|scope| {
-        let (tx, rx) = mpsc::channel::<(usize, Result<SweepOutcome, CellFailure>)>();
+        let (tx, rx) = mpsc::channel::<(usize, CellResult)>();
         for me in 0..workers {
             let tx = tx.clone();
             let (queues, stop) = (&queues, &stop);
@@ -138,140 +86,11 @@ pub(super) fn run_report(cells: &[CellSpec], opts: &SweepOptions) -> SweepReport
             });
         }
         drop(tx);
-
-        let mut done = 0usize;
-        let (mut cache_hits, mut failed) = (0usize, 0usize);
         for (idx, result) in rx {
-            done += 1;
-            if opts.progress {
-                report(done, total, &result, started);
-            }
-            match &result {
-                Ok(o) if o.cached => cache_hits += 1,
-                Err(_) => failed += 1,
-                _ => {}
-            }
-            emit_terminal(tel, idx, &result);
-            tel.emit(|| {
-                let secs = started.elapsed().as_secs_f64();
-                let rate = if secs > 0.0 { done as f64 / secs } else { 0.0 };
-                let eta_ms = if rate > 0.0 && total > done {
-                    ((total - done) as f64 / rate * 1000.0) as u64
-                } else {
-                    0
-                };
-                CampaignEvent::Throughput {
-                    done,
-                    total,
-                    cache_hits,
-                    failures: failed,
-                    cells_per_sec: rate,
-                    eta_ms,
-                }
-            });
-            if result.is_ok() {
-                if let Some(j) = journal.as_mut() {
-                    let key = cells[idx].cache_key();
-                    if let Err(e) = j.record(&key) {
-                        eprintln!("sweep: could not journal {}: {e}", cells[idx].label());
-                    }
-                }
-            }
-            slots[idx] = Some(result);
+            ledger.record(idx, result);
         }
     });
-
-    let mut out = SweepReport {
-        outcomes: Vec::new(),
-        failures: Vec::new(),
-        skipped: 0,
-    };
-    for slot in slots {
-        match slot {
-            Some(Ok(o)) => out.outcomes.push(o),
-            Some(Err(f)) => out.failures.push(f),
-            None => out.skipped += 1,
-        }
-    }
-    if out.is_complete() {
-        if let Some(j) = journal {
-            // A completed campaign needs no journal: an existing journal
-            // file always means "unfinished, resumable".
-            j.finish().ok();
-        }
-    }
-    tel.emit(|| CampaignEvent::CampaignFinished {
-        done: out.outcomes.len(),
-        failed: out.failures.len(),
-        skipped: out.skipped,
-        elapsed_ms: started.elapsed().as_millis() as u64,
-    });
-    tel.flush();
-    out
-}
-
-/// Emits the cell's single terminal telemetry event (cache-hit, finished
-/// — plus a degraded annotation when the watchdog intervened — or failed).
-/// Shared with the distributed campaign coordinator, which owns terminal
-/// emission for its whole fleet (workers stream only non-terminal events)
-/// so every cell gets exactly one terminal no matter how often a lease
-/// was reassigned.
-pub(crate) fn emit_terminal(
-    tel: &crate::telemetry::Telemetry,
-    idx: usize,
-    result: &Result<SweepOutcome, CellFailure>,
-) {
-    match result {
-        Ok(o) if o.cached => tel.emit(|| CampaignEvent::CellCacheHit {
-            idx,
-            label: o.cell.label(),
-            cycles: o.metrics.cycles,
-        }),
-        Ok(o) => {
-            tel.emit(|| CampaignEvent::CellFinished {
-                idx,
-                label: o.cell.label(),
-                cycles: o.metrics.cycles,
-                commits: o.metrics.commits,
-                aborts: o.metrics.aborts,
-                elapsed_ms: o.elapsed.as_millis() as u64,
-            });
-            if o.metrics.degraded {
-                tel.emit(|| CampaignEvent::CellDegraded {
-                    idx,
-                    label: o.cell.label(),
-                    escalations: o.metrics.watchdog_escalations,
-                    serialized_commits: o.metrics.serialized_commits,
-                });
-            }
-        }
-        Err(f) => tel.emit(|| CampaignEvent::CellFailed {
-            idx,
-            label: f.cell.label(),
-            kind: match f.error {
-                FailureKind::Sim(_) => "sim",
-                FailureKind::Panic(_) => "panic",
-                FailureKind::TimedOut { .. } => "timeout",
-                FailureKind::Remote { kind, .. } => kind,
-            },
-            error: f.error.to_string(),
-            attempts: f.attempts,
-        }),
-    }
-}
-
-/// Opens the campaign journal next to the result cache. Journaling is
-/// best-effort: a cache-less sweep has nothing durable to resume from,
-/// and an unopenable journal only costs crash accounting.
-fn open_journal(cells: &[CellSpec], opts: &SweepOptions) -> Option<SweepJournal> {
-    let cache = opts.result_cache.as_ref()?;
-    match SweepJournal::open(cache.dir(), &sweep_digest(cells), opts.resume) {
-        Ok(j) => Some(j),
-        Err(e) => {
-            eprintln!("sweep: journal unavailable ({e}); crash resume disabled");
-            None
-        }
-    }
+    ledger.into_report()
 }
 
 /// Pops the next cell index: own queue front first, then the largest
@@ -308,10 +127,7 @@ pub(crate) fn run_cell(
             });
         }
     }
-    let attempts = match opts.failure_policy {
-        FailurePolicy::Retry { attempts } => attempts.max(1),
-        _ => 1,
-    };
+    let attempts = opts.failure_policy.attempts();
     let mut last = None;
     for attempt in 1..=attempts {
         if attempt > 1 {
@@ -455,32 +271,6 @@ fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
         s.clone()
     } else {
         "non-string panic payload".to_string()
-    }
-}
-
-/// One progress line per finished cell, on stderr. Shared with the
-/// campaign coordinator so both front ends narrate identically.
-pub(crate) fn report(
-    done: usize,
-    total: usize,
-    result: &Result<SweepOutcome, CellFailure>,
-    started: Instant,
-) {
-    let t = started.elapsed();
-    match result {
-        Ok(o) if o.cached => eprintln!(
-            "[{done:>3}/{total}] {:<18} cached            (t={:.1?})",
-            o.cell.label(),
-            t
-        ),
-        Ok(o) => eprintln!(
-            "[{done:>3}/{total}] {:<18} {:>12} cycles in {:.2?} (t={:.1?})",
-            o.cell.label(),
-            o.metrics.cycles,
-            o.elapsed,
-            t
-        ),
-        Err(f) => eprintln!("[{done:>3}/{total}] FAILED: {f}"),
     }
 }
 
@@ -685,26 +475,5 @@ mod tests {
         opts.cell_timeout = Some(Duration::from_secs(3600));
         let report = run_report(&cells(2), &opts);
         assert!(report.is_complete());
-    }
-
-    #[test]
-    fn legacy_run_surfaces_the_first_spec_order_failure() {
-        let opts = injected(FailurePolicy::CollectAll, |cell, _| {
-            if cell.benchmark == Benchmark::HtM {
-                Err(SimError::Interrupted { cycle: 7 })
-            } else {
-                Ok(Metrics::default())
-            }
-        });
-        let err = run(&cells(3), &opts).expect_err("failure must surface");
-        assert!(matches!(err, SimError::Interrupted { cycle: 7 }));
-    }
-
-    #[test]
-    fn legacy_run_resumes_a_contained_panic() {
-        let opts = injected(FailurePolicy::CollectAll, |_, _| panic!("through"));
-        let caught = catch_unwind(AssertUnwindSafe(|| run(&cells(1), &opts)));
-        let payload = caught.expect_err("panic must resume");
-        assert_eq!(panic_text(payload.as_ref()), "through");
     }
 }

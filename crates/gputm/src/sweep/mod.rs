@@ -10,15 +10,15 @@
 //! * [`ExperimentSpec`] makes a sweep a first-class value: a list of
 //!   cells, usually produced by [`ExperimentSpec::grid`]'s cross-product
 //!   builder.
-//! * [`run_sweep`] executes the cells on a work-stealing pool of scoped
-//!   threads; serial (`threads = 1`) and parallel runs return identical
-//!   metrics in identical (spec) order.
+//! * [`run_sweep_report`] executes the cells on a work-stealing pool of
+//!   scoped threads; serial (`threads = 1`) and parallel runs return
+//!   identical metrics in identical (spec) order.
 //! * [`ResultCache`] memoizes finished cells on disk under a
 //!   content-addressed key ([`CellSpec::cache_key`], a stable 128-bit
 //!   FNV-1a digest of the cell description), so re-running a harness
 //!   skips every cell it has ever completed.
 //!
-//! Sweeps are also fault-isolated: [`run_sweep_report`] contains a
+//! Sweeps are also fault-isolated: the executor contains a
 //! panicking, livelocking, or runaway cell as a structured
 //! [`CellFailure`] (per the configured [`FailurePolicy`] and optional
 //! per-cell wall-clock timeout) instead of killing the campaign, and a
@@ -27,7 +27,7 @@
 //!
 //! ```no_run
 //! use gputm::prelude::*;
-//! use gputm::sweep::{run_sweep, ExperimentSpec, ResultCache, SweepOptions};
+//! use gputm::sweep::{run_sweep_report, ExperimentSpec, ResultCache, SweepOptions};
 //!
 //! let spec = ExperimentSpec::grid()
 //!     .benchmarks([Benchmark::HtH, Benchmark::Atm])
@@ -35,14 +35,17 @@
 //!     .concurrency_limits([Some(2), Some(8), None])
 //!     .build();
 //! let opts = SweepOptions::default().cache(ResultCache::at_default_dir());
-//! for outcome in run_sweep(&spec, &opts).unwrap() {
+//! let report = run_sweep_report(&spec, &opts);
+//! for outcome in &report.outcomes {
 //!     println!("{}: {} cycles", outcome.cell.label(), outcome.metrics.cycles);
 //! }
+//! assert!(report.is_complete(), "{:?}", report.failures);
 //! ```
 
 mod cache;
 pub(crate) mod exec;
 mod journal;
+pub(crate) mod ledger;
 mod lock;
 mod spec;
 
@@ -80,6 +83,16 @@ pub enum FailurePolicy {
     },
 }
 
+impl FailurePolicy {
+    /// Total tries a failing cell gets under this policy.
+    pub(crate) fn attempts(self) -> u32 {
+        match self {
+            FailurePolicy::Retry { attempts } => attempts.max(1),
+            _ => 1,
+        }
+    }
+}
+
 /// Why a cell failed.
 #[derive(Debug)]
 pub enum FailureKind {
@@ -108,6 +121,22 @@ pub enum FailureKind {
         /// The rendered error.
         detail: String,
     },
+}
+
+impl FailureKind {
+    /// Every taxonomy tag [`FailureKind::tag`] can return.
+    pub(crate) const TAGS: [&'static str; 4] = ["sim", "panic", "timeout", "worker"];
+
+    /// The failure's taxonomy tag, as carried by telemetry and the
+    /// campaign wire protocol: `sim`, `panic`, `timeout`, or `worker`.
+    pub(crate) fn tag(&self) -> &'static str {
+        match self {
+            FailureKind::Sim(_) => "sim",
+            FailureKind::Panic(_) => "panic",
+            FailureKind::TimedOut { .. } => "timeout",
+            FailureKind::Remote { kind, .. } => kind,
+        }
+    }
 }
 
 impl std::fmt::Display for FailureKind {
@@ -149,7 +178,7 @@ impl std::fmt::Display for CellFailure {
 
 /// Everything a sweep produced: completed cells, failed cells, and the
 /// count of cells never attempted (fail-fast stop), all in spec order.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct SweepReport {
     /// Cells that completed, in spec order.
     pub outcomes: Vec<SweepOutcome>,
@@ -308,31 +337,16 @@ pub struct SweepOutcome {
     pub elapsed: Duration,
 }
 
-/// Runs every cell of `spec`, in parallel, returning outcomes in spec
-/// order regardless of completion order.
+/// Runs every cell of `spec`, in parallel, under the options'
+/// [`FailurePolicy`], returning a [`SweepReport`] in spec order
+/// regardless of completion order: a panicking, livelocking, or
+/// timed-out cell becomes a structured [`CellFailure`] and the rest of
+/// the campaign survives.
 ///
 /// Results are deterministic: a cell's metrics depend only on its spec
 /// (all engine randomness derives from `cfg.seed`), so serial and
 /// parallel execution — and cache hits from previous runs — are
 /// bit-identical.
-///
-/// # Errors
-///
-/// Returns the first (in spec order) cell failure. Cells after a failing
-/// cell still execute; only the error surfaces. A panicking cell resumes
-/// its panic on the calling thread (use [`run_sweep_report`] to contain
-/// failures instead).
-pub fn run_sweep(
-    spec: &ExperimentSpec,
-    opts: &SweepOptions,
-) -> Result<Vec<SweepOutcome>, SimError> {
-    exec::run(spec.cells(), opts)
-}
-
-/// Runs every cell of `spec` under the options' [`FailurePolicy`],
-/// returning a full [`SweepReport`] instead of an error: a panicking,
-/// livelocking, or timed-out cell becomes a structured [`CellFailure`]
-/// and the rest of the campaign survives.
 ///
 /// With a result cache attached, completed cells are additionally
 /// journaled (append-only, fsynced) next to the cache, so a killed
@@ -399,8 +413,9 @@ mod tests {
     #[test]
     fn sweep_of_empty_spec_is_empty() {
         let spec = ExperimentSpec::from_cells(Vec::new());
-        let out = run_sweep(&spec, &SweepOptions::new()).unwrap();
-        assert!(out.is_empty());
+        let report = run_sweep_report(&spec, &SweepOptions::new());
+        assert!(report.is_complete());
+        assert!(report.outcomes.is_empty());
         let _ = (Benchmark::HtH, Scale::Fast, TmSystem::Getm);
     }
 }

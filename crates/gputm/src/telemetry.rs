@@ -532,7 +532,7 @@ fn parse_hex4(it: &mut std::iter::Peekable<std::str::Chars<'_>>) -> Option<u32> 
 /// Maps a worker-streamed failure kind back onto the closed
 /// [`crate::sweep::FailureKind`] tag set — the event holds `&'static str`.
 pub(crate) fn intern_failure_kind(kind: &str) -> Option<&'static str> {
-    ["sim", "panic", "timeout", "worker"]
+    crate::sweep::FailureKind::TAGS
         .into_iter()
         .find(|k| *k == kind)
 }

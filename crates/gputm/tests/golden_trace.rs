@@ -9,7 +9,7 @@
 //! unordered map) and neither traces nor metrics can be trusted.
 
 use gputm::config::{GpuConfig, TmSystem};
-use gputm::sweep::{run_sweep, CellSpec, ExperimentSpec, SweepOptions};
+use gputm::sweep::{run_sweep_report, CellSpec, ExperimentSpec, SweepOptions};
 use sim_core::Recorder;
 use workloads::suite::{Benchmark, Scale};
 
@@ -47,17 +47,19 @@ fn golden_trace_is_identical_across_serial_and_parallel_runs() {
         .base(GpuConfig::tiny_test())
         .build();
     std::thread::scope(|scope| {
-        let sweep = scope.spawn(|| run_sweep(&spec, &SweepOptions::new().threads(3)));
+        let sweep = scope.spawn(|| run_sweep_report(&spec, &SweepOptions::new().threads(3)));
         let racers: Vec<_> = (0..2).map(|_| scope.spawn(capture)).collect();
         for r in racers {
             let (text, metrics) = r.join().expect("racer thread");
             assert_eq!(text, golden, "event stream diverged under contention");
             assert_eq!(metrics, golden_metrics);
         }
-        sweep
-            .join()
-            .expect("sweep thread")
-            .expect("sweep must succeed");
+        let report = sweep.join().expect("sweep thread");
+        assert!(
+            report.is_complete(),
+            "sweep must succeed: {:?}",
+            report.failures
+        );
     });
 
     // And the sweep path itself (untraced) still agrees with the traced

@@ -3,9 +3,18 @@
 //! re-simulation.
 
 use gputm::config::{GpuConfig, TmSystem};
-use gputm::sweep::{run_sweep, CellSpec, ExperimentSpec, ResultCache, SweepOptions};
+use gputm::sweep::{
+    run_sweep_report, CellSpec, ExperimentSpec, ResultCache, SweepOptions, SweepOutcome,
+};
 use std::path::PathBuf;
 use workloads::suite::{Benchmark, Scale};
+
+/// Runs `spec`, requiring every cell to complete.
+fn run_complete(spec: &ExperimentSpec, opts: &SweepOptions) -> Vec<SweepOutcome> {
+    let report = run_sweep_report(spec, opts);
+    assert!(report.is_complete(), "{:?}", report.failures);
+    report.outcomes
+}
 
 fn small_spec() -> ExperimentSpec {
     ExperimentSpec::grid()
@@ -36,8 +45,8 @@ impl Drop for TempDir {
 #[test]
 fn parallel_sweep_is_bit_identical_to_serial() {
     let spec = small_spec();
-    let serial = run_sweep(&spec, &SweepOptions::new().threads(1)).expect("serial");
-    let parallel = run_sweep(&spec, &SweepOptions::new().threads(4)).expect("parallel");
+    let serial = run_complete(&spec, &SweepOptions::new().threads(1));
+    let parallel = run_complete(&spec, &SweepOptions::new().threads(4));
 
     assert_eq!(serial.len(), spec.len());
     assert_eq!(parallel.len(), spec.len());
@@ -68,14 +77,14 @@ fn cache_hit_skips_the_simulation() {
     };
 
     // Cold: the cell simulates and its result lands in the cache.
-    let cold = run_sweep(&spec, &opts()).expect("cold run");
+    let cold = run_complete(&spec, &opts());
     assert!(!cold[0].cached);
     let cache = ResultCache::new(&tmp.0);
     assert_eq!(cache.entry_count(), 1);
     assert_eq!(cache.load(&cell.cache_key()), Some(cold[0].metrics.clone()));
 
     // Warm: the cell is recalled, not recomputed.
-    let warm = run_sweep(&spec, &opts()).expect("warm run");
+    let warm = run_complete(&spec, &opts());
     assert!(warm[0].cached);
     assert_eq!(warm[0].metrics, cold[0].metrics);
 
@@ -84,12 +93,12 @@ fn cache_hit_skips_the_simulation() {
     let mut poisoned = cold[0].metrics.clone();
     poisoned.cycles += 123_456_789;
     cache.store(&cell.cache_key(), &poisoned).expect("store");
-    let resurrected = run_sweep(&spec, &opts()).expect("poisoned run");
+    let resurrected = run_complete(&spec, &opts());
     assert!(resurrected[0].cached);
     assert_eq!(resurrected[0].metrics.cycles, poisoned.cycles);
 
     // Without the cache attached, the true result comes back.
-    let fresh = run_sweep(&spec, &SweepOptions::new().threads(1)).expect("fresh");
+    let fresh = run_complete(&spec, &SweepOptions::new().threads(1));
     assert!(!fresh[0].cached);
     assert_eq!(fresh[0].metrics, cold[0].metrics);
 }
@@ -111,7 +120,7 @@ fn corrupt_cache_entries_fall_back_to_simulation() {
     let opts = SweepOptions::new()
         .threads(1)
         .cache(ResultCache::new(&tmp.0));
-    let out = run_sweep(&spec, &opts).expect("run");
+    let out = run_complete(&spec, &opts);
     assert!(!out[0].cached, "corrupt entry must be treated as a miss");
     out[0].metrics.assert_correct();
     // And the corrupt entry was repaired by the store that followed.

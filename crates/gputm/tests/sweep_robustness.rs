@@ -86,7 +86,9 @@ fn interrupted_sweep_resumes_bit_identically() {
     let opts = SweepOptions::new()
         .threads(2)
         .cache(ResultCache::new(&ref_dir));
-    let reference = run_sweep(&ExperimentSpec::from_cells(all.clone()), &opts).unwrap();
+    let reference = run_sweep_report(&ExperimentSpec::from_cells(all.clone()), &opts);
+    assert!(reference.is_complete());
+    let reference = reference.outcomes;
 
     // "Crashed" campaign: only the first two cells ever completed
     // (exactly the disk state a SIGKILL after two journal appends
@@ -95,12 +97,13 @@ fn interrupted_sweep_resumes_bit_identically() {
     let opts = SweepOptions::new()
         .threads(2)
         .cache(ResultCache::new(&crash_dir));
-    run_sweep(&ExperimentSpec::from_cells(all[..2].to_vec()), &opts).unwrap();
-    let resumed = run_sweep(
+    assert!(run_sweep_report(&ExperimentSpec::from_cells(all[..2].to_vec()), &opts).is_complete());
+    let resumed = run_sweep_report(
         &ExperimentSpec::from_cells(all.clone()),
         &opts.clone().resume(true),
-    )
-    .unwrap();
+    );
+    assert!(resumed.is_complete());
+    let resumed = resumed.outcomes;
 
     assert_eq!(reference.len(), resumed.len());
     for (a, b) in reference.iter().zip(&resumed) {

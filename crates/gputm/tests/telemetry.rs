@@ -4,7 +4,7 @@
 //! and schema-valid JSONL on disk.
 
 use gputm::config::{GpuConfig, TmSystem};
-use gputm::sweep::{run_sweep, ExperimentSpec, ResultCache, SweepOptions};
+use gputm::sweep::{run_sweep_report, ExperimentSpec, ResultCache, SweepOptions};
 use gputm::telemetry::{CampaignEvent, JsonlSink, MemorySink, Telemetry};
 use gputm::ExecMode;
 use std::path::PathBuf;
@@ -65,8 +65,9 @@ fn run_captured(exec: Option<ExecMode>) -> (Vec<gputm::Metrics>, Vec<CampaignEve
     if let Some(exec) = exec {
         opts = opts.cell_exec(exec);
     }
-    let outcomes = run_sweep(&small_spec(), &opts).expect("sweep");
-    let metrics = outcomes.into_iter().map(|o| o.metrics).collect();
+    let report = run_sweep_report(&small_spec(), &opts);
+    assert!(report.is_complete(), "sweep: {:?}", report.failures);
+    let metrics = report.outcomes.into_iter().map(|o| o.metrics).collect();
     let events = captured
         .lock()
         .unwrap()
@@ -155,7 +156,7 @@ fn cache_hits_are_reported_as_such() {
             .threads(1)
             .cache(ResultCache::new(&tmp.0))
             .telemetry(Telemetry::to_sinks(vec![Box::new(sink)]));
-        run_sweep(&small_spec(), &opts).expect("sweep");
+        assert!(run_sweep_report(&small_spec(), &opts).is_complete());
         let events: Vec<CampaignEvent> = captured
             .lock()
             .unwrap()
@@ -203,7 +204,7 @@ fn jsonl_file_is_schema_valid() {
         .telemetry(Telemetry::to_sinks(vec![Box::new(
             JsonlSink::create(&path).expect("create"),
         )]));
-    run_sweep(&small_spec(), &opts).expect("sweep");
+    assert!(run_sweep_report(&small_spec(), &opts).is_complete());
 
     let text = std::fs::read_to_string(&path).expect("read back");
     let mut last_t = 0u64;
