@@ -26,7 +26,8 @@
 //! --socket PATH      rendezvous socket (default: $TMPDIR/getm-campaign.sock)
 //! --spawn N          also fork N worker processes wired to the socket
 //! --heartbeat-ms MS  worker heartbeat interval (default 2000)
-//! --lease-ms MS      hard wall-clock bound per lease (default 120000)
+//! --lease-ms MS      hard wall-clock bound per lease, all of its cells'
+//!                    attempts included (default 120000)
 //! --chunk N          cells granted per lease (default 1)
 //! --max-deaths N     reassignments before a cell is abandoned (default 5)
 //! ```

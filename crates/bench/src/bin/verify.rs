@@ -57,9 +57,7 @@ impl Subject {
         match self {
             Subject::Bench(b) => {
                 let cfg = base.with_concurrency(bench::optimal_concurrency(system, *b));
-                CellSpec::new(*b, scale, system, cfg)
-                    .with_exec(exec)
-                    .run_verified()
+                CellSpec::new(*b, scale, system, cfg).run_verified()
             }
             Subject::Fuzz(shape, seed) => {
                 let threads = if tiny { 24 } else { 96 };

@@ -220,10 +220,8 @@ impl Args {
             .progress(self.progress && !self.live)
             .failure_policy(self.failures)
             .resume(self.resume)
-            .telemetry(self.telemetry().unwrap_or_else(|e| panic!("{e}")));
-        if self.cell_threads > 1 {
-            opts = opts.cell_exec(gputm::ExecMode::from_threads(self.cell_threads));
-        }
+            .telemetry(self.telemetry().unwrap_or_else(|e| panic!("{e}")))
+            .cell_exec(gputm::ExecMode::from_threads(self.cell_threads));
         if let Some(limit) = self.cell_timeout {
             opts = opts.cell_timeout(limit);
         }
@@ -332,11 +330,11 @@ mod tests {
         assert_eq!(a.cell_threads, 4);
         assert_eq!(
             a.sweep_options().cell_exec,
-            Some(gputm::ExecMode::Sharded { threads: 4 })
+            gputm::ExecMode::Sharded { threads: 4 }
         );
-        // One thread is the serial engine: no override at all.
+        // One thread is the serial engine.
         let one = parse(&["--threads", "1"]).unwrap();
-        assert_eq!(one.sweep_options().cell_exec, None);
+        assert_eq!(one.sweep_options().cell_exec, gputm::ExecMode::Serial);
         assert!(parse(&["--threads", "0"]).unwrap_err().contains("positive"));
     }
 

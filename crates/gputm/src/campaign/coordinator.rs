@@ -14,9 +14,13 @@
 //! * **runaway lease** — a hard per-lease wall-clock deadline bounds even
 //!   a worker that heartbeats forever without finishing; same recovery.
 //!
-//! Reassignment is counted separately from the [`FailurePolicy`] retry
-//! budget: a worker dying is the harness's failure, not the cell's. Only
-//! after [`CampaignOptions::max_deaths`] reassignments does a cell fail
+//! Reassignment is not retry. A worker retries a failing cell itself,
+//! under the sweep's [`FailurePolicy`], through the same
+//! [`crate::sweep::exec::run_cell`] the in-process executor uses, and
+//! reports only the verdict; the coordinator never re-runs a cell that
+//! failed. It counts worker deaths instead: a worker dying is the
+//! harness's failure, not the cell's, and only after
+//! [`CampaignOptions::max_deaths`] reassignments does a cell fail
 //! terminally (as [`FailureKind::Remote`] with kind `worker`).
 //!
 //! Determinism: workers transport results through the content-addressed
@@ -31,13 +35,11 @@ use super::protocol::{
     Framed, LineReader, ToCoordinator, ToWorker, POLL_INTERVAL, PROTOCOL_VERSION,
 };
 use super::CampaignOptions;
-use crate::sweep::exec;
-use crate::sweep::ledger::Ledger;
+use crate::sweep::ledger::{Ledger, Note};
 use crate::sweep::{
     sweep_digest, CellFailure, CellSpec, FailureKind, FailurePolicy, SweepOptions, SweepOutcome,
     SweepReport,
 };
-use crate::telemetry::{intern_failure_kind, CampaignEvent};
 use std::collections::HashMap;
 use std::io::Write;
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -66,14 +68,10 @@ struct Lease {
 }
 
 /// Per-cell campaign bookkeeping beside the result slot.
-#[derive(Clone)]
+#[derive(Clone, Default)]
 struct CellTrack {
-    /// Policy attempts consumed (worker-reported failures).
-    attempts: u32,
     /// Times the cell was requeued because its worker was lost.
     deaths: u32,
-    /// Retry backoff horizon; the cell is not grantable before this.
-    not_before: Instant,
     /// Whether some live lease currently covers the cell.
     leased: bool,
     /// When the cell was first granted (for failure elapsed accounting).
@@ -147,7 +145,6 @@ pub fn coordinate(
         std::thread::spawn(move || accept_loop(&listener, &tx, &stop))
     };
 
-    let now = Instant::now();
     let mut c = Coordinator {
         cells,
         opts,
@@ -157,16 +154,7 @@ pub fn coordinate(
         conns: HashMap::new(),
         ready: HashMap::new(),
         leases: HashMap::new(),
-        track: vec![
-            CellTrack {
-                attempts: 0,
-                deaths: 0,
-                not_before: now,
-                leased: false,
-                first_grant: None,
-            };
-            total
-        ],
+        track: vec![CellTrack::default(); total],
         stopped: false,
         next_lease: 1,
     };
@@ -293,6 +281,7 @@ impl Coordinator<'_> {
                     l.expires = horizon;
                 }
             }
+            ToCoordinator::Note { lease, idx, note } => self.on_note(lease, idx, note),
             ToCoordinator::Finished {
                 lease,
                 idx,
@@ -306,7 +295,6 @@ impl Coordinator<'_> {
                 attempts,
                 error,
             } => self.on_failed(lease, idx, &kind, attempts, error),
-            ToCoordinator::Event { json } => self.on_event(&json),
             ToCoordinator::Bye => self.handle_eof(conn),
         }
     }
@@ -331,7 +319,6 @@ impl Coordinator<'_> {
         }
         let msg = ToWorker::Welcome {
             heartbeat_ms: self.cfg.heartbeat.as_millis() as u64,
-            lease_ms: self.cfg.lease_timeout.as_millis() as u64,
         };
         self.send_to(conn, &msg);
     }
@@ -346,18 +333,14 @@ impl Coordinator<'_> {
         }
         let now = Instant::now();
         let grant: Vec<usize> = (0..self.total())
-            .filter(|&i| {
-                !self.ledger.is_filled(i)
-                    && !self.track[i].leased
-                    && now >= self.track[i].not_before
-            })
+            .filter(|&i| !self.ledger.is_filled(i) && !self.track[i].leased)
             .take(n.clamp(1, self.cfg.chunk.max(1)))
             .collect();
         if grant.is_empty() {
             let reply = if self.ledger.all_filled() {
                 ToWorker::Done
             } else {
-                // Cells exist but are leased elsewhere or backing off.
+                // Cells exist but are leased elsewhere.
                 ToWorker::Wait
             };
             self.send_to(conn, &reply);
@@ -401,6 +384,19 @@ impl Coordinator<'_> {
         }
     }
 
+    /// An attempt note from the worker holding `idx`. A note from a lease
+    /// that no longer covers the cell (revoked, expired) is stale: another
+    /// worker owns the cell now, and its notes are the ones that count.
+    fn on_note(&mut self, lease: u64, idx: usize, note: Note) {
+        let current = self
+            .leases
+            .get(&lease)
+            .is_some_and(|l| l.cells.contains(&idx));
+        if current && !self.ledger.is_filled(idx) {
+            self.ledger.note(idx, note);
+        }
+    }
+
     fn on_finished(&mut self, lease: u64, idx: usize, cached: bool, elapsed_ms: u64) {
         if idx >= self.total() {
             return;
@@ -437,29 +433,14 @@ impl Coordinator<'_> {
         if idx >= self.total() {
             return;
         }
-        let Some(kind) = intern_failure_kind(kind) else {
+        let Some(kind) = FailureKind::TAGS.into_iter().find(|k| *k == kind) else {
             eprintln!("campaign: dropping failure report with unknown kind {kind:?}");
             return;
         };
         self.release(lease, idx);
-        let label = self.cells[idx].label();
         if self.ledger.is_filled(idx) {
+            let label = self.cells[idx].label();
             eprintln!("campaign: duplicate failure for {label} ignored");
-            return;
-        }
-        self.track[idx].attempts += attempts.max(1);
-        let spent = self.track[idx].attempts;
-        if spent < self.opts.failure_policy.attempts() {
-            // Same backoff curve as the single-process executor, applied
-            // as a not-before horizon instead of a worker-side sleep.
-            self.track[idx].not_before = Instant::now() + exec::retry_backoff(spent + 1);
-            let err = error.clone();
-            self.opts.telemetry.emit(|| CampaignEvent::CellRetried {
-                idx,
-                label,
-                attempt: spent,
-                error: err,
-            });
             return;
         }
         let failure = CellFailure {
@@ -468,7 +449,7 @@ impl Coordinator<'_> {
                 kind,
                 detail: error,
             },
-            attempts: spent,
+            attempts,
             elapsed: self.track[idx]
                 .first_grant
                 .map_or(Duration::ZERO, |t| t.elapsed()),
@@ -494,25 +475,6 @@ impl Coordinator<'_> {
         }
         self.leases.clear();
         self.broadcast(&ToWorker::Shutdown);
-    }
-
-    /// Worker-side telemetry passthrough: non-terminal per-cell events
-    /// re-emit into the coordinator's sinks (re-stamped on its clock);
-    /// terminal events are suppressed — the coordinator emits those
-    /// itself, exactly once per cell, however many workers touched it.
-    fn on_event(&mut self, json: &str) {
-        match CampaignEvent::parse_json(json) {
-            Some((
-                _,
-                ev @ (CampaignEvent::CellStarted { .. } | CampaignEvent::CellRetried { .. }),
-            )) => {
-                self.opts.telemetry.emit(|| ev);
-            }
-            Some(_) => {}
-            None => {
-                eprintln!("campaign: dropping torn telemetry line from worker: {json:?}");
-            }
-        }
     }
 
     fn handle_eof(&mut self, conn: u64) {
@@ -580,7 +542,6 @@ impl Coordinator<'_> {
     fn requeue_or_bury(&mut self, idx: usize, reason: &str) {
         self.track[idx].deaths += 1;
         if self.track[idx].deaths <= self.cfg.max_deaths {
-            self.track[idx].not_before = Instant::now();
             return;
         }
         let failure = CellFailure {
@@ -592,7 +553,7 @@ impl Coordinator<'_> {
                     self.track[idx].deaths
                 ),
             },
-            attempts: self.track[idx].attempts.max(1),
+            attempts: 1,
             elapsed: self.track[idx]
                 .first_grant
                 .map_or(Duration::ZERO, |t| t.elapsed()),

@@ -27,10 +27,12 @@
 //!   cells from the cache and hands out only the remainder. Only the
 //!   scheduling differs: leases over a socket here, work-stealing threads
 //!   in-process.
-//! * **Telemetry stays coherent.** Workers stream per-cell events over
-//!   the socket; the coordinator re-stamps and forwards only
-//!   non-terminal ones, emitting every terminal event itself — exactly
-//!   once per cell, no matter how many workers touched it.
+//! * **A cell runs, and retries, the same way everywhere.** Workers run
+//!   each leased cell through the in-process executor's own cell path,
+//!   retries under the sweep's failure policy included, and report each
+//!   attempt's start and retry as protocol lines. The coordinator's
+//!   ledger turns those into telemetry next to the terminal event it
+//!   emits exactly once per cell, no matter how many workers touched it.
 //!
 //! The module is Unix-only (`#[cfg(unix)]` at the crate root): the wire
 //! is a `UnixListener`/`UnixStream` pair and liveness detection leans on
@@ -59,7 +61,9 @@ pub struct CampaignOptions {
     pub heartbeat: Duration,
     /// Hard wall-clock bound on a single lease, heartbeats or not — the
     /// backstop against a worker that is alive but wedged inside a cell.
-    /// Default 120s; set it comfortably above the slowest expected cell.
+    /// It covers every attempt the worker makes under the lease, so under
+    /// a retry policy set it above the attempts times the slowest expected
+    /// cell, plus backoff. Default 120s.
     pub lease_timeout: Duration,
     /// Cells granted per lease. Default 1 — maximal reassignment
     /// granularity; raise it to amortize round-trips on tiny cells.
@@ -126,6 +130,7 @@ mod tests {
     use super::protocol::{ToCoordinator, ToWorker, PROTOCOL_VERSION};
     use super::*;
     use crate::config::{GpuConfig, TmSystem};
+    use crate::runner::RunOptions;
     use crate::sweep::{
         run_sweep_report, sweep_digest, CellSpec, ExperimentSpec, FailurePolicy, ResultCache,
         SweepOptions,
@@ -232,8 +237,9 @@ mod tests {
 
     /// A raw socket client that takes a lease and goes silent: the lease
     /// must expire after three missed heartbeats and its cell complete on
-    /// a real worker. The hung client also sends a torn telemetry line,
-    /// which must be dropped without disturbing the stream.
+    /// a real worker. The hung client also sends a torn line — what a
+    /// SIGKILLed worker leaves — which parses as an unknown verb and must
+    /// be dropped without disturbing the stream.
     #[test]
     fn hung_worker_lease_expires_and_cell_is_reassigned() {
         let dir = tmp("hung");
@@ -274,8 +280,8 @@ mod tests {
             // Wait replies mean a real worker beat us to every cell;
             // leases land as `lease <id> <cells>`.
             if let Some(ToWorker::Lease { .. }) = ToWorker::parse(line.trim_end()) {
-                // Stream a torn telemetry line, then never ping again.
-                writeln!(stream, "event {{\"t_ms\":5,\"ev\":\"cell_sta").unwrap();
+                // Send a torn line, then never ping again.
+                writeln!(stream, "sta").unwrap();
             }
             // Hold the connection open so EOF detection cannot fire; the
             // expiry path must do the work.
@@ -289,10 +295,11 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// Worker-reported failures must flow through the coordinator's retry
-    /// policy: a flaky injected runner fails twice, then succeeds.
+    /// The worker retries a failing cell itself, under the sweep's own
+    /// policy: a flaky injected runner fails twice, then succeeds, and the
+    /// coordinator's telemetry shows each attempt of the one lease.
     #[test]
-    fn coordinator_retries_worker_reported_failures() {
+    fn worker_retries_failures_under_the_sweep_policy() {
         use std::sync::atomic::{AtomicU32, Ordering};
         use std::sync::Arc;
 
@@ -301,16 +308,18 @@ mod tests {
         let cells = spec.cells();
         let calls = Arc::new(AtomicU32::new(0));
         let calls_in_runner = calls.clone();
+        let (sink, captured) = MemorySink::new();
         let opts = SweepOptions::new()
             .cache(ResultCache::new(dir.join("cache")))
             .threads(1)
-            .failure_policy(FailurePolicy::Retry { attempts: 3 });
+            .failure_policy(FailurePolicy::Retry { attempts: 3 })
+            .telemetry(Telemetry::to_sinks(vec![Box::new(sink)]));
         let mut worker_opts = opts.clone();
         worker_opts.runner = Some(crate::sweep::exec::CellRunner(Arc::new(
-            move |cell: &CellSpec, token| {
-                // The first two executions (across any cells) of the flaky
-                // target fail; determinism of the final report is preserved
-                // because the cache stores only the eventual success.
+            move |cell: &CellSpec, run: &RunOptions| {
+                // The flaky target's first two executions fail;
+                // determinism of the final report is preserved because the
+                // cache stores only the eventual success.
                 if cell.benchmark == Benchmark::Atm
                     && calls_in_runner.fetch_add(1, Ordering::SeqCst) < 2
                 {
@@ -318,10 +327,7 @@ mod tests {
                         what: "injected flake",
                     });
                 }
-                match token {
-                    Some(t) => cell.run_cancellable(t),
-                    None => cell.run(),
-                }
+                cell.run_with(run)
             },
         )));
         let cfg = CampaignOptions::at(dir.join("sock")).workers_hint(1);
@@ -333,7 +339,23 @@ mod tests {
         handle.join().unwrap().unwrap();
 
         assert!(report.is_complete(), "failures: {:?}", report.failures);
-        assert!(calls.load(Ordering::SeqCst) >= 3, "flake must have retried");
+        assert_eq!(calls.load(Ordering::SeqCst), 3, "two failures, one success");
+
+        // ATM is cell 0: three starts, two retries, then its one terminal.
+        let events: Vec<CampaignEvent> = captured.lock().unwrap().drain(..).map(|e| e.1).collect();
+        let of_atm: Vec<String> = events
+            .iter()
+            .filter(|e| e.cell_idx() == Some(0) && !matches!(e, CampaignEvent::CellQueued { .. }))
+            .map(|e| match e {
+                CampaignEvent::CellStarted { attempt, .. } => format!("start {attempt}"),
+                CampaignEvent::CellRetried { attempt, .. } => format!("retry {attempt}"),
+                other => other.kind().to_string(),
+            })
+            .collect();
+        assert_eq!(
+            of_atm.join(", "),
+            "start 1, retry 1, start 2, retry 2, start 3, cell_finished"
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 

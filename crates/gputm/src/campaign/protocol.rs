@@ -4,8 +4,8 @@
 //! results — never crosses the socket at all. Workers write [`Metrics`]
 //! into the shared content-addressed [`ResultCache`] (atomic temp +
 //! rename) and the wire carries only *control*: which cells a lease
-//! covers, that a cell finished (the coordinator re-loads it from the
-//! cache by key), heartbeats, and streamed telemetry lines. The cache
+//! covers, each attempt's start and retry, that a cell finished (the
+//! coordinator re-loads it from the cache by key), and heartbeats. The cache
 //! digest protocol of PR 4 thereby becomes the wire protocol: both sides
 //! build the same grid from the same arguments, and the worker's `hello`
 //! carries [`sweep_digest`] so a mismatched grid is rejected before any
@@ -13,8 +13,8 @@
 //!
 //! Framing: one message per `\n`-terminated line, ASCII verbs, fields
 //! separated by single spaces. Only the *last* field of a message may
-//! contain spaces; it is escaped ([`escape`]) so a rendered error or a
-//! JSON telemetry line can never smuggle a newline into the framing.
+//! contain spaces; it is escaped ([`escape`]) so a rendered error can
+//! never smuggle a newline into the framing.
 //! Unknown or malformed lines parse as `None` — the receiving side logs
 //! and drops them (a half-written line from a SIGKILLed peer must not
 //! poison the stream).
@@ -23,12 +23,14 @@
 //! [`ResultCache`]: crate::sweep::ResultCache
 //! [`sweep_digest`]: crate::sweep::sweep_digest
 
+use crate::sweep::ledger::Note;
+use crate::sweep::{escape, unescape};
 use std::io::Read;
 use std::time::Duration;
 
 /// Protocol version tag, sent in `hello` and checked by the coordinator:
 /// coordinator and workers must come from compatible builds.
-pub const PROTOCOL_VERSION: &str = "getm-campaign-v1";
+pub const PROTOCOL_VERSION: &str = "getm-campaign-v2";
 
 /// Messages a worker sends to the coordinator.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -54,6 +56,17 @@ pub enum ToCoordinator {
         /// The lease being renewed.
         lease: u64,
     },
+    /// An attempt at a cell is starting (`start`), or failed and will be
+    /// retried per the sweep's [`crate::sweep::FailurePolicy`] (`retry`,
+    /// whose rendered error is escaped free text).
+    Note {
+        /// The lease the cell belongs to.
+        lease: u64,
+        /// The cell's global spec index.
+        idx: usize,
+        /// The attempt's start or retry.
+        note: Note,
+    },
     /// A cell completed; its metrics are in the shared cache under the
     /// cell's content-addressed key.
     Finished {
@@ -66,7 +79,7 @@ pub enum ToCoordinator {
         /// Worker-side wall-clock for the cell (timing field).
         elapsed_ms: u64,
     },
-    /// A cell failed on the worker.
+    /// A cell failed on the worker for good.
     Failed {
         /// The lease the cell belongs to.
         lease: u64,
@@ -74,17 +87,10 @@ pub enum ToCoordinator {
         idx: usize,
         /// Taxonomy tag: `sim`, `panic`, or `timeout`.
         kind: String,
-        /// Attempts the worker made (always 1 — retries are the
-        /// coordinator's job).
+        /// Attempts the worker made.
         attempts: u32,
         /// Rendered error (escaped free text).
         error: String,
-    },
-    /// One worker-side telemetry event as a
-    /// [`crate::telemetry::CampaignEvent::to_json`] line.
-    Event {
-        /// The JSON line (escaped free text).
-        json: String,
     },
     /// Clean goodbye; the worker is about to disconnect.
     Bye,
@@ -93,13 +99,11 @@ pub enum ToCoordinator {
 /// Messages the coordinator sends to a worker.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ToWorker {
-    /// Handshake accepted; the campaign's timing contract.
+    /// Handshake accepted; the campaign's heartbeat contract.
     Welcome {
         /// Expected heartbeat interval; a lease unpinged for three of
         /// these is considered abandoned.
         heartbeat_ms: u64,
-        /// Hard wall-clock deadline per lease.
-        lease_ms: u64,
     },
     /// Handshake refused (digest/version mismatch, campaign over).
     Reject {
@@ -130,34 +134,6 @@ pub enum ToWorker {
     Shutdown,
 }
 
-/// Escapes a free-text trailing field: backslashes and newlines only —
-/// the two characters that could break framing.
-pub fn escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('\n', "\\n")
-}
-
-/// Inverse of [`escape`].
-pub fn unescape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    let mut chars = s.chars();
-    while let Some(c) = chars.next() {
-        if c == '\\' {
-            match chars.next() {
-                Some('n') => out.push('\n'),
-                Some('\\') => out.push('\\'),
-                Some(other) => {
-                    out.push('\\');
-                    out.push(other);
-                }
-                None => out.push('\\'),
-            }
-        } else {
-            out.push(c);
-        }
-    }
-    out
-}
-
 impl ToCoordinator {
     /// Renders the message as one wire line (no trailing newline).
     pub fn encode(&self) -> String {
@@ -169,6 +145,12 @@ impl ToCoordinator {
             } => format!("hello {version} {digest} {pid}"),
             ToCoordinator::Want { n } => format!("want {n}"),
             ToCoordinator::Ping { lease } => format!("ping {lease}"),
+            ToCoordinator::Note { lease, idx, note } => match note {
+                Note::Started { attempt } => format!("start {lease} {idx} {attempt}"),
+                Note::Retried { attempt, error } => {
+                    format!("retry {lease} {idx} {attempt} {}", escape(error))
+                }
+            },
             ToCoordinator::Finished {
                 lease,
                 idx,
@@ -182,7 +164,6 @@ impl ToCoordinator {
                 attempts,
                 error,
             } => format!("fail {lease} {idx} {kind} {attempts} {}", escape(error)),
-            ToCoordinator::Event { json } => format!("event {}", escape(json)),
             ToCoordinator::Bye => "bye".to_string(),
         }
     }
@@ -206,6 +187,20 @@ impl ToCoordinator {
             "ping" => Some(ToCoordinator::Ping {
                 lease: rest?.parse().ok()?,
             }),
+            "start" | "retry" => {
+                let mut f = rest?.splitn(4, ' ');
+                let (lease, idx) = (f.next()?.parse().ok()?, f.next()?.parse().ok()?);
+                let attempt = f.next()?.parse().ok()?;
+                let note = match (verb, f.next()) {
+                    ("start", None) => Note::Started { attempt },
+                    ("retry", Some(error)) => Note::Retried {
+                        attempt,
+                        error: unescape(error),
+                    },
+                    _ => return None,
+                };
+                Some(ToCoordinator::Note { lease, idx, note })
+            }
             "ok" => {
                 let mut f = rest?.split(' ');
                 let msg = ToCoordinator::Finished {
@@ -233,9 +228,6 @@ impl ToCoordinator {
                     error: unescape(f.next()?),
                 })
             }
-            "event" => Some(ToCoordinator::Event {
-                json: unescape(rest?),
-            }),
             "bye" if rest.is_none() => Some(ToCoordinator::Bye),
             _ => None,
         }
@@ -246,10 +238,7 @@ impl ToWorker {
     /// Renders the message as one wire line (no trailing newline).
     pub fn encode(&self) -> String {
         match self {
-            ToWorker::Welcome {
-                heartbeat_ms,
-                lease_ms,
-            } => format!("welcome {heartbeat_ms} {lease_ms}"),
+            ToWorker::Welcome { heartbeat_ms } => format!("welcome {heartbeat_ms}"),
             ToWorker::Reject { reason } => format!("reject {}", escape(reason)),
             ToWorker::Lease { lease, cells } => {
                 let list: Vec<String> = cells.iter().map(usize::to_string).collect();
@@ -267,17 +256,9 @@ impl ToWorker {
         let line = line.trim_end_matches(['\r', '\n']);
         let (verb, rest) = split_verb(line);
         match verb {
-            "welcome" => {
-                let mut f = rest?.split(' ');
-                let msg = ToWorker::Welcome {
-                    heartbeat_ms: f.next()?.parse().ok()?,
-                    lease_ms: f.next()?.parse().ok()?,
-                };
-                if f.next().is_some() {
-                    return None;
-                }
-                Some(msg)
-            }
+            "welcome" => Some(ToWorker::Welcome {
+                heartbeat_ms: rest?.parse().ok()?,
+            }),
             "reject" => Some(ToWorker::Reject {
                 reason: unescape(rest?),
             }),
@@ -413,10 +394,18 @@ mod tests {
                 attempts: 1,
                 error: "went \\ boom\nacross lines".to_string(),
             },
-            ToCoordinator::Event {
-                json:
-                    "{\"t_ms\":1,\"ev\":\"cell_started\",\"idx\":0,\"label\":\"x\",\"attempt\":1}"
-                        .to_string(),
+            ToCoordinator::Note {
+                lease: 7,
+                idx: 3,
+                note: Note::Started { attempt: 2 },
+            },
+            ToCoordinator::Note {
+                lease: 7,
+                idx: 3,
+                note: Note::Retried {
+                    attempt: 1,
+                    error: "tab\there \\ and\nnewline".to_string(),
+                },
             },
             ToCoordinator::Bye,
         ];
@@ -431,10 +420,7 @@ mod tests {
     #[test]
     fn to_worker_messages_round_trip() {
         let msgs = vec![
-            ToWorker::Welcome {
-                heartbeat_ms: 2000,
-                lease_ms: 60000,
-            },
+            ToWorker::Welcome { heartbeat_ms: 2000 },
             ToWorker::Reject {
                 reason: "digest mismatch:\nyours != mine".to_string(),
             },
@@ -466,6 +452,9 @@ mod tests {
             "ok 1 2 1 4 excess", // trailing field
             "bye now",           // bye takes no operand
             "hello v1",          // missing digest+pid
+            "start 1 2",         // missing attempt
+            "start 1 2 3 4",     // trailing field
+            "retry 1 2 3",       // missing error
         ] {
             assert_eq!(ToCoordinator::parse(line), None, "{line:?}");
         }
@@ -474,19 +463,10 @@ mod tests {
             "lease 1",
             "lease 1 ",
             "lease x 0",
-            "welcome 1",
+            "welcome 1 2",
             "wait 0",
         ] {
             assert_eq!(ToWorker::parse(line), None, "{line:?}");
-        }
-    }
-
-    #[test]
-    fn escape_round_trips_and_frames() {
-        for s in ["", "plain", "a\nb", "back\\slash", "\\n literal", "\n\\\n"] {
-            let e = escape(s);
-            assert!(!e.contains('\n'), "{e:?}");
-            assert_eq!(unescape(&e), s, "{e:?}");
         }
     }
 

@@ -3,14 +3,17 @@
 //! A worker connects to the coordinator's socket, proves it was launched
 //! with the same grid (the `hello` carries [`sweep_digest`]), and then
 //! loops: ask for work, run the leased cells through the same
-//! [`exec::run_cell`] path the single-process executor uses, report
-//! `ok`/`fail` verdicts. Results themselves never cross the socket —
-//! `run_cell` stores them in the shared content-addressed cache, and the
-//! verdict only tells the coordinator to load them.
+//! [`exec::run_cell`] path the single-process executor uses — retries
+//! under the sweep's own [`crate::sweep::FailurePolicy`] included — and
+//! report each attempt's `start`/`retry` and the `ok`/`fail` verdict.
+//! Results themselves never cross the socket — `run_cell` stores them in
+//! the shared content-addressed cache, and the verdict only tells the
+//! coordinator to load them.
 //!
 //! Three threads cooperate:
 //!
-//! * the **main loop** runs cells and sends `want`/`ok`/`fail`;
+//! * the **main loop** runs cells and sends
+//!   `want`/`start`/`retry`/`ok`/`fail`;
 //! * a **reader** thread turns coordinator messages into control events,
 //!   and services `revoke`/`shutdown` immediately by cancelling the
 //!   current lease's [`CancelToken`] — which stops the engine at its
@@ -27,8 +30,7 @@ use super::protocol::{
     Framed, LineReader, ToCoordinator, ToWorker, POLL_INTERVAL, PROTOCOL_VERSION,
 };
 use crate::sweep::exec;
-use crate::sweep::{sweep_digest, CellSpec, FailurePolicy, SweepOptions};
-use crate::telemetry::{CampaignEvent, Telemetry, TelemetrySink};
+use crate::sweep::{sweep_digest, CellSpec, SweepOptions};
 use sim_core::CancelToken;
 use std::io::Write;
 use std::os::unix::net::UnixStream;
@@ -64,9 +66,9 @@ type Current = Arc<Mutex<Option<(u64, CancelToken)>>>;
 ///
 /// `cells` must be the same grid (same spec, same order) the coordinator
 /// was launched with — the handshake enforces this by digest. `opts`
-/// should carry the same shared result cache; per-lease execution forces
-/// `CollectAll` (the coordinator owns the retry policy), disables resume
-/// and progress lines, and re-routes telemetry onto the socket.
+/// should carry the same shared result cache and failure policy; its
+/// journal, progress and telemetry settings are the coordinator's
+/// business and go unused here.
 ///
 /// # Errors
 ///
@@ -93,7 +95,7 @@ pub fn work(cells: &[CellSpec], opts: &SweepOptions, socket: &Path) -> std::io::
             pid: std::process::id(),
         },
     )?;
-    let (heartbeat, _lease_ms) = await_welcome(&mut reader)?;
+    let heartbeat = await_welcome(&mut reader)?;
 
     let stop = Arc::new(AtomicBool::new(false));
     let current: Current = Arc::new(Mutex::new(None));
@@ -194,11 +196,6 @@ fn lease_loop(
     stop: &Arc<AtomicBool>,
     ctrl_rx: &mpsc::Receiver<Ctrl>,
 ) -> std::io::Result<()> {
-    // Worker telemetry streams over the socket; the coordinator
-    // re-stamps and fans out to the human-facing sinks.
-    let socket_tel = Telemetry::to_sinks(vec![Box::new(SocketSink {
-        out: writer.clone(),
-    })]);
     loop {
         if stop.load(Ordering::SeqCst) {
             return Ok(());
@@ -208,8 +205,7 @@ fn lease_loop(
             Ok(Ctrl::Lease(lease, idxs)) => {
                 let token = CancelToken::new();
                 *current.lock().expect("current lease lock") = Some((lease, token.clone()));
-                let result =
-                    run_lease(cells, opts, &socket_tel, writer, lease, &idxs, &token, stop);
+                let result = run_lease(cells, opts, writer, lease, &idxs, &token, stop);
                 *current.lock().expect("current lease lock") = None;
                 result?;
             }
@@ -237,29 +233,22 @@ fn lease_loop(
     }
 }
 
-/// Executes one lease's cells, reporting a verdict per cell. A cancelled
-/// token (revoke or shutdown) abandons the remainder silently — the
-/// coordinator has already requeued them.
-#[allow(clippy::too_many_arguments)]
+/// Executes one lease's cells, reporting each attempt and a verdict per
+/// cell. A cancelled token (revoke or shutdown) abandons the remainder
+/// silently — the coordinator has already requeued them.
 fn run_lease(
     cells: &[CellSpec],
     opts: &SweepOptions,
-    socket_tel: &Telemetry,
     writer: &Arc<Mutex<UnixStream>>,
     lease: u64,
     idxs: &[usize],
     token: &CancelToken,
     stop: &Arc<AtomicBool>,
 ) -> std::io::Result<()> {
-    let mut run_opts = opts.clone();
-    // The coordinator owns retries (its policy, its backoff), resume
-    // recall (its journal), and the progress stream: a worker is just
-    // run_cell plus a socket.
-    run_opts.failure_policy = FailurePolicy::CollectAll;
-    run_opts.resume = false;
-    run_opts.progress = false;
-    run_opts.cancel = Some(token.clone());
-    run_opts.telemetry = socket_tel.clone();
+    let run_opts = SweepOptions {
+        cancel: Some(token.clone()),
+        ..opts.clone()
+    };
     for &idx in idxs {
         if stop.load(Ordering::SeqCst) || token.is_cancelled() {
             return Ok(());
@@ -267,7 +256,12 @@ fn run_lease(
         let Some(cell) = cells.get(idx) else {
             continue; // a lease for cells we don't have is a protocol bug
         };
-        match exec::run_cell(idx, cell, &run_opts) {
+        // A note lost to a broken socket is not worth failing the cell
+        // over: the verdict's send below surfaces the error.
+        let note = |note| {
+            send(writer, &ToCoordinator::Note { lease, idx, note }).ok();
+        };
+        match exec::run_cell(cell, &run_opts, note) {
             Ok(outcome) => {
                 send(
                     writer,
@@ -301,28 +295,6 @@ fn run_lease(
     Ok(())
 }
 
-/// A [`TelemetrySink`] that frames each event as a protocol `event` line.
-/// Terminal events are filtered coordinator-side, but a worker under
-/// `CollectAll` with no journal only ever emits `cell_started`,
-/// `cell_cache_hit`, `cell_finished`, `cell_failed`, and `cell_degraded`
-/// — of which the coordinator passes through only the non-terminal ones.
-struct SocketSink {
-    out: Arc<Mutex<UnixStream>>,
-}
-
-impl TelemetrySink for SocketSink {
-    fn record(&mut self, at_ms: u64, event: &CampaignEvent) {
-        let msg = ToCoordinator::Event {
-            json: event.to_json(at_ms),
-        };
-        if let Ok(mut s) = self.out.lock() {
-            let _ = writeln!(&mut *s, "{}", msg.encode());
-        }
-    }
-
-    fn flush(&mut self) {}
-}
-
 fn send(out: &Arc<Mutex<UnixStream>>, msg: &ToCoordinator) -> std::io::Result<()> {
     let mut s = out
         .lock()
@@ -350,17 +322,15 @@ fn connect_with_retry(socket: &Path) -> std::io::Result<UnixStream> {
     }
 }
 
-/// Drains the handshake reply; anything but a `welcome` is fatal.
-fn await_welcome<R: std::io::Read>(reader: &mut LineReader<R>) -> std::io::Result<(Duration, u64)> {
+/// Drains the handshake reply and returns the heartbeat interval;
+/// anything but a `welcome` is fatal.
+fn await_welcome<R: std::io::Read>(reader: &mut LineReader<R>) -> std::io::Result<Duration> {
     let deadline = Instant::now() + CONNECT_WINDOW;
     loop {
         match reader.next_line() {
             Framed::Line(line) => match ToWorker::parse(&line) {
-                Some(ToWorker::Welcome {
-                    heartbeat_ms,
-                    lease_ms,
-                }) => {
-                    return Ok((Duration::from_millis(heartbeat_ms.max(100)), lease_ms));
+                Some(ToWorker::Welcome { heartbeat_ms }) => {
+                    return Ok(Duration::from_millis(heartbeat_ms.max(100)));
                 }
                 Some(ToWorker::Reject { reason }) => {
                     return Err(std::io::Error::new(

@@ -134,18 +134,27 @@ fn intern_category(name: &str) -> &'static str {
     }
 }
 
-fn escape(s: &str) -> String {
+/// Escapes free text for a line-framed format (a cache entry's `check`
+/// line, a campaign protocol message's trailing field): backslashes and
+/// newlines only — the two characters that could break framing.
+pub(crate) fn escape(s: &str) -> String {
     s.replace('\\', "\\\\").replace('\n', "\\n")
 }
 
-fn unescape(s: &str) -> String {
+/// Inverse of [`escape`]. A backslash [`escape`] could not have written
+/// (before anything but `n` or `\`, or at the end) is kept as is.
+pub(crate) fn unescape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     let mut chars = s.chars();
     while let Some(c) = chars.next() {
         if c == '\\' {
             match chars.next() {
                 Some('n') => out.push('\n'),
-                Some(other) => out.push(other),
+                Some('\\') => out.push('\\'),
+                Some(other) => {
+                    out.push('\\');
+                    out.push(other);
+                }
                 None => out.push('\\'),
             }
         } else {
@@ -463,6 +472,18 @@ mod tests {
         };
         let parsed = parse_metrics(&serialize_metrics(&m)).expect("parse");
         assert_eq!(m, parsed);
+    }
+
+    #[test]
+    fn escape_round_trips_and_frames() {
+        for s in ["", "plain", "a\nb", "back\\slash", "\\n literal", "\n\\\n"] {
+            let e = escape(s);
+            assert!(!e.contains('\n'), "{e:?}");
+            assert_eq!(unescape(&e), s, "{e:?}");
+        }
+        // The escaped form is what existing cache entries hold.
+        assert_eq!(escape("a\\b\nc"), "a\\\\b\\nc");
+        assert_eq!(unescape("a\\tb\\"), "a\\tb\\");
     }
 
     #[test]

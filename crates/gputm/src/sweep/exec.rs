@@ -2,13 +2,16 @@
 //!
 //! Cells are distributed block-cyclically over per-worker deques; an idle
 //! worker first drains its own queue from the front, then steals from the
-//! back of the busiest sibling. Finished cells stream over a channel to
-//! the caller's thread, which slots them by index — so the returned
-//! vector is in spec order no matter which worker finished first.
+//! back of the busiest sibling. Each cell's attempt notes and its
+//! finished result stream over one channel to the caller's thread, whose
+//! ledger slots results by index — so the returned vector is in spec
+//! order no matter which worker finished first, and a cell's events reach
+//! the telemetry sinks in the order the worker produced them.
 //!
-//! Each cell attempt runs inside `catch_unwind` with an optional
-//! wall-clock watchdog thread holding a [`CancelToken`]: a panicking or
-//! runaway cell is contained to its slot and reported as a
+//! [`run_cell`] is the one place a cell is attempted and retried, here
+//! and in a campaign worker. Each attempt runs inside `catch_unwind` with
+//! an optional wall-clock watchdog thread holding a [`CancelToken`]: a
+//! panicking or runaway cell is contained to its slot and reported as a
 //! [`CellFailure`], per the sweep's [`FailurePolicy`]. The ledger
 //! journals completed cells next to the result cache so a killed sweep
 //! resumes.
@@ -17,12 +20,12 @@
 //! determinism argument needs no synchronization help because each cell
 //! is a pure function of its [`CellSpec`].
 
-use super::ledger::{CellResult, Ledger};
+use super::ledger::{CellResult, Ledger, Note};
 use super::{
     CellFailure, CellSpec, FailureKind, FailurePolicy, SweepOptions, SweepOutcome, SweepReport,
 };
 use crate::metrics::Metrics;
-use crate::telemetry::CampaignEvent;
+use crate::runner::RunOptions;
 use sim_core::{CancelToken, SimError};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -31,12 +34,12 @@ use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Signature of an injected cell execution (see [`CellRunner`]).
-type CellRunnerFn =
-    dyn Fn(&CellSpec, Option<CancelToken>) -> Result<Metrics, SimError> + Send + Sync;
+type CellRunnerFn = dyn Fn(&CellSpec, &RunOptions) -> Result<Metrics, SimError> + Send + Sync;
 
 /// Test-only cell execution override: fault injection for the executor's
 /// own tests (panics, hangs, flaky failures) without needing a real
-/// workload that misbehaves. `None` token means no timeout was armed.
+/// workload that misbehaves. It gets the [`RunOptions`] the cell would
+/// have run under; no cancel token in them means none was armed.
 #[derive(Clone)]
 pub(crate) struct CellRunner(pub(crate) Arc<CellRunnerFn>);
 
@@ -65,7 +68,7 @@ pub(super) fn run_report(cells: &[CellSpec], opts: &SweepOptions) -> SweepReport
     let fail_fast = opts.failure_policy == FailurePolicy::FailFast;
     let stop = AtomicBool::new(false);
     std::thread::scope(|scope| {
-        let (tx, rx) = mpsc::channel::<(usize, CellResult)>();
+        let (tx, rx) = mpsc::channel::<(usize, Report)>();
         for me in 0..workers {
             let tx = tx.clone();
             let (queues, stop) = (&queues, &stop);
@@ -75,22 +78,40 @@ pub(super) fn run_report(cells: &[CellSpec], opts: &SweepOptions) -> SweepReport
                     if stop.load(Ordering::Relaxed) || revoked {
                         break; // fail-fast or external cancel: leave the rest unclaimed
                     }
-                    let result = run_cell(idx, &cells[idx], opts).map_err(|f| *f);
+                    // Notes only feed telemetry: with it off they are not sent.
+                    let note = |n| {
+                        if opts.telemetry.is_on() {
+                            tx.send((idx, Report::Note(n))).ok();
+                        }
+                    };
+                    let result = run_cell(&cells[idx], opts, note).map_err(|f| *f);
                     if result.is_err() && fail_fast {
                         stop.store(true, Ordering::Relaxed);
                     }
-                    if tx.send((idx, result)).is_err() {
+                    if tx.send((idx, Report::Done(result))).is_err() {
                         return; // collector gone; nothing left to do
                     }
                 }
             });
         }
         drop(tx);
-        for (idx, result) in rx {
-            ledger.record(idx, result);
+        for (idx, report) in rx {
+            match report {
+                Report::Note(note) => ledger.note(idx, note),
+                Report::Done(result) => ledger.record(idx, result),
+            }
         }
     });
     ledger.into_report()
+}
+
+/// What a worker thread tells the collector about one cell.
+// `Done` is the message every cell sends; boxing it to shrink the rarer
+// notes would allocate once per cell instead.
+#[allow(clippy::large_enum_variant)]
+enum Report {
+    Note(Note),
+    Done(CellResult),
 }
 
 /// Pops the next cell index: own queue front first, then the largest
@@ -107,13 +128,15 @@ fn claim(queues: &[Mutex<VecDeque<usize>>], me: usize) -> Option<usize> {
 }
 
 /// Runs one cell to a verdict: cache, then up to the policy's attempt
-/// count of fault-isolated executions. The failure is boxed to keep the
-/// happy path's return slot small. (Also the distributed campaign
-/// worker's per-cell engine — `idx` is the cell's global spec index.)
+/// count of fault-isolated executions, stopping early once
+/// [`SweepOptions::cancel`] is raised. Each attempt's start and retry go
+/// to `note`; a cache hit makes no attempt and sends none. The failure is
+/// boxed to keep the happy path's return slot small. (Also the
+/// distributed campaign worker's per-cell engine.)
 pub(crate) fn run_cell(
-    idx: usize,
     cell: &CellSpec,
     opts: &SweepOptions,
+    mut note: impl FnMut(Note),
 ) -> Result<SweepOutcome, Box<CellFailure>> {
     let start = Instant::now();
     let key = opts.result_cache.as_ref().map(|c| (c, cell.cache_key()));
@@ -127,17 +150,14 @@ pub(crate) fn run_cell(
             });
         }
     }
-    let attempts = opts.failure_policy.attempts();
-    let mut last = None;
-    for attempt in 1..=attempts {
+    let budget = opts.failure_policy.attempts();
+    let mut attempt = 0;
+    let error = loop {
+        attempt += 1;
         if attempt > 1 {
             std::thread::sleep(retry_backoff(attempt));
         }
-        opts.telemetry.emit(|| CampaignEvent::CellStarted {
-            idx,
-            label: cell.label(),
-            attempt,
-        });
+        note(Note::Started { attempt });
         match run_attempt(cell, opts) {
             Ok(metrics) => {
                 if let Some((cache, key)) = &key {
@@ -154,30 +174,28 @@ pub(crate) fn run_cell(
                 });
             }
             Err(kind) => {
-                if attempt < attempts {
-                    opts.telemetry.emit(|| CampaignEvent::CellRetried {
-                        idx,
-                        label: cell.label(),
-                        attempt,
-                        error: kind.to_string(),
-                    });
+                let revoked = opts.cancel.as_ref().is_some_and(CancelToken::is_cancelled);
+                if attempt >= budget || revoked {
+                    break kind;
                 }
-                last = Some(kind);
+                note(Note::Retried {
+                    attempt,
+                    error: kind.to_string(),
+                });
             }
         }
-    }
+    };
     Err(Box::new(CellFailure {
         cell: cell.clone(),
-        error: last.expect("at least one attempt ran"),
-        attempts,
+        error,
+        attempts: attempt,
         elapsed: start.elapsed(),
     }))
 }
 
 /// Doubling backoff before retry `attempt` (the second try waits 50ms),
-/// capped at one second. The distributed coordinator applies the same
-/// curve when re-queueing a worker-reported failure under a retry policy.
-pub(crate) fn retry_backoff(attempt: u32) -> Duration {
+/// capped at one second.
+fn retry_backoff(attempt: u32) -> Duration {
     Duration::from_millis((50u64 << (attempt.saturating_sub(2)).min(10)).min(1000))
 }
 
@@ -230,22 +248,16 @@ fn run_attempt(cell: &CellSpec, opts: &SweepOptions) -> Result<Metrics, FailureK
         });
         (disarm, monitor, limit)
     });
-    // The sweep-wide execution override replaces the cell's own mode;
-    // either way the metrics (and the cache key) are unaffected.
-    let overridden;
-    let cell = match opts.cell_exec {
-        Some(exec) => {
-            overridden = cell.clone().with_exec(exec);
-            &overridden
-        }
-        None => cell,
+    // The execution mode is observational: it changes neither the
+    // metrics nor the cache key.
+    let run = RunOptions {
+        exec: opts.cell_exec,
+        cancel: token,
+        ..RunOptions::default()
     };
     let result = catch_unwind(AssertUnwindSafe(|| match &opts.runner {
-        Some(r) => (r.0)(cell, token.clone()),
-        None => match token {
-            Some(t) => cell.run_cancellable(t),
-            None => cell.run(),
-        },
+        Some(r) => (r.0)(cell, &run),
+        None => cell.run_with(&run),
     }));
     if let Some((disarm, monitor, _)) = armed {
         drop(disarm);
@@ -346,7 +358,7 @@ mod tests {
     /// spec order and fail-fast skip counts are deterministic.
     fn injected(
         policy: FailurePolicy,
-        f: impl Fn(&CellSpec, Option<CancelToken>) -> Result<Metrics, SimError> + Send + Sync + 'static,
+        f: impl Fn(&CellSpec, &RunOptions) -> Result<Metrics, SimError> + Send + Sync + 'static,
     ) -> SweepOptions {
         let mut o = SweepOptions::new().threads(1).failure_policy(policy);
         o.runner = Some(CellRunner(Arc::new(f)));
@@ -424,8 +436,8 @@ mod tests {
 
     #[test]
     fn a_hanging_cell_times_out_via_the_cancel_token() {
-        let mut opts = injected(FailurePolicy::CollectAll, |_, token| {
-            let token = token.expect("timeout must arm a token");
+        let mut opts = injected(FailurePolicy::CollectAll, |_, run| {
+            let token = run.cancel.as_ref().expect("timeout must arm a token");
             // A cooperative hang: spins until the watchdog cancels.
             while !token.is_cancelled() {
                 std::thread::sleep(Duration::from_millis(1));

@@ -10,9 +10,16 @@
 //! campaign's start, queue, terminal, throughput and finish telemetry,
 //! the per-cell progress line, and the final [`SweepReport`].
 //!
+//! The ledger is also the campaign's only telemetry writer. A cell's
+//! attempts run wherever it is scheduled, so each attempt's start and
+//! retry reach the ledger as a [`Note`] through [`Ledger::note`] — over
+//! the executor's result channel, or as a campaign worker's `start` and
+//! `retry` lines — on the same path, and so in the same order, as the
+//! cell's terminal result.
+//!
 //! Every cell reaches the ledger through [`Ledger::record`] at most once,
 //! which is what makes "exactly one terminal event per cell" hold no
-//! matter how often a front end retried or reassigned the cell.
+//! matter how often a front end reassigned the cell.
 
 use super::journal::{sweep_digest, SweepJournal};
 use super::{CellFailure, CellSpec, SweepOptions, SweepOutcome, SweepReport};
@@ -21,6 +28,17 @@ use std::time::{Duration, Instant};
 
 /// One cell's terminal result.
 pub(crate) type CellResult = Result<SweepOutcome, CellFailure>;
+
+/// One attempt-level event of a cell, sent by the code that attempts it
+/// ([`super::exec::run_cell`]) to the ledger through its caller.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) enum Note {
+    /// Attempt `attempt` (1-based) is starting.
+    Started { attempt: u32 },
+    /// Attempt `attempt` failed with the rendered `error` and will be
+    /// retried.
+    Retried { attempt: u32, error: String },
+}
 
 /// The books of one sweep run (see the module docs).
 pub(crate) struct Ledger<'a> {
@@ -115,6 +133,25 @@ impl<'a> Ledger<'a> {
     /// Whether every cell has its terminal result.
     pub(crate) fn all_filled(&self) -> bool {
         self.slots.iter().all(Option::is_some)
+    }
+
+    /// Emits cell `idx`'s attempt-level event: `CellStarted` or
+    /// `CellRetried`.
+    pub(crate) fn note(&self, idx: usize, note: Note) {
+        let label = || self.cells[idx].label();
+        self.opts.telemetry.emit(|| match note {
+            Note::Started { attempt } => CampaignEvent::CellStarted {
+                idx,
+                label: label(),
+                attempt,
+            },
+            Note::Retried { attempt, error } => CampaignEvent::CellRetried {
+                idx,
+                label: label(),
+                attempt,
+                error,
+            },
+        });
     }
 
     /// Records cell `idx`'s terminal result: the progress line, the

@@ -49,6 +49,7 @@ pub(crate) mod ledger;
 mod lock;
 mod spec;
 
+pub(crate) use cache::{escape, unescape};
 pub use cache::{parse_metrics, serialize_metrics, ResultCache};
 pub use journal::{sweep_digest, SweepJournal};
 pub use lock::LockFile;
@@ -217,11 +218,11 @@ pub struct SweepOptions {
     /// if attached, still serves whatever it holds). Journaling itself is
     /// automatic whenever a cache is attached.
     pub resume: bool,
-    /// Overrides every cell's intra-cell execution mode (`None` respects
-    /// each [`CellSpec`]'s own setting). Execution mode is observational —
-    /// sharded cells produce bit-identical metrics and share cache
-    /// entries with serial ones — so this is purely a wall-clock knob.
-    pub cell_exec: Option<crate::exec::ExecMode>,
+    /// How many host threads advance each cell's engine (default
+    /// serial). Execution mode is observational — sharded cells produce
+    /// bit-identical metrics and share cache entries with serial ones —
+    /// so this is purely a wall-clock knob.
+    pub cell_exec: crate::exec::ExecMode,
     /// Campaign telemetry: cell-lifecycle and throughput events fanned out
     /// to the attached sinks (JSONL, live dashboard, Prometheus snapshot).
     /// Defaults to [`Telemetry::off`] — disabled emission is a branch on a
@@ -289,11 +290,11 @@ impl SweepOptions {
         self
     }
 
-    /// Overrides every cell's intra-cell execution mode (see
+    /// Sets every cell's intra-cell execution mode (see
     /// [`SweepOptions::cell_exec`]).
     #[must_use]
     pub fn cell_exec(mut self, exec: crate::exec::ExecMode) -> Self {
-        self.cell_exec = Some(exec);
+        self.cell_exec = exec;
         self
     }
 

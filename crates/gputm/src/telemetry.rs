@@ -2,8 +2,9 @@
 //! everything the sweep executor does above the simulated machine.
 //!
 //! PR 2 gave the *simulation* cycle-accurate observability; this module
-//! gives the *campaign* the same treatment. The sweep executor narrates
-//! cell lifecycle — queued, started, finished, cache-hit, retried,
+//! gives the *campaign* the same treatment. The sweep ledger
+//! (`crate::sweep::ledger`), the one writer for both the in-process
+//! executor and the distributed coordinator, narrates cell lifecycle — queued, started, finished, cache-hit, retried,
 //! failed, watchdog-degraded — plus periodic throughput/ETA samples as
 //! [`CampaignEvent`]s through a [`Telemetry`] handle, which follows the
 //! exact zero-cost discipline of [`sim_core::trace::Recorder`]: when no
@@ -323,218 +324,6 @@ impl CampaignEvent {
         s.push('}');
         s
     }
-
-    /// Parses one line of [`CampaignEvent::to_json`] output back into
-    /// `(t_ms, event)` — the inverse used by the distributed campaign
-    /// coordinator to re-emit worker-streamed events into its own sinks.
-    ///
-    /// Torn or garbled lines — the crash window of a SIGKILLed worker's
-    /// stream — return `None` and are the caller's to log and drop.
-    /// Unknown `ev` tags and failure kinds outside the closed
-    /// [`crate::sweep::FailureKind`] taxonomy are rejected the same way.
-    pub fn parse_json(line: &str) -> Option<(u64, CampaignEvent)> {
-        let fields = parse_flat_object(line.trim())?;
-        let field = |key: &str| fields.iter().find(|(k, _)| k == key).map(|(_, v)| v);
-        let text = |key: &str| match field(key)? {
-            Scalar::Str(s) => Some(s.clone()),
-            Scalar::Raw(_) => None,
-        };
-        let num = |key: &str| -> Option<u64> {
-            match field(key)? {
-                Scalar::Raw(r) => r.parse().ok(),
-                Scalar::Str(_) => None,
-            }
-        };
-        let count = |key: &str| num(key).and_then(|v| usize::try_from(v).ok());
-        let tries = |key: &str| num(key).and_then(|v| u32::try_from(v).ok());
-        let t_ms = num("t_ms")?;
-        let Scalar::Str(ev) = field("ev")? else {
-            return None;
-        };
-        let event = match ev.as_str() {
-            "campaign_started" => CampaignEvent::CampaignStarted {
-                total: count("total")?,
-                workers: count("workers")?,
-                resumed: count("resumed")?,
-            },
-            "cell_queued" => CampaignEvent::CellQueued {
-                idx: count("idx")?,
-                label: text("label")?,
-            },
-            "cell_started" => CampaignEvent::CellStarted {
-                idx: count("idx")?,
-                label: text("label")?,
-                attempt: tries("attempt")?,
-            },
-            "cell_cache_hit" => CampaignEvent::CellCacheHit {
-                idx: count("idx")?,
-                label: text("label")?,
-                cycles: num("cycles")?,
-            },
-            "cell_finished" => CampaignEvent::CellFinished {
-                idx: count("idx")?,
-                label: text("label")?,
-                cycles: num("cycles")?,
-                commits: num("commits")?,
-                aborts: num("aborts")?,
-                elapsed_ms: num("elapsed_ms")?,
-            },
-            "cell_retried" => CampaignEvent::CellRetried {
-                idx: count("idx")?,
-                label: text("label")?,
-                attempt: tries("attempt")?,
-                error: text("error")?,
-            },
-            "cell_failed" => CampaignEvent::CellFailed {
-                idx: count("idx")?,
-                label: text("label")?,
-                kind: intern_failure_kind(&text("kind")?)?,
-                error: text("error")?,
-                attempts: tries("attempts")?,
-            },
-            "cell_degraded" => CampaignEvent::CellDegraded {
-                idx: count("idx")?,
-                label: text("label")?,
-                escalations: num("escalations")?,
-                serialized_commits: num("serialized_commits")?,
-            },
-            "throughput" => CampaignEvent::Throughput {
-                done: count("done")?,
-                total: count("total")?,
-                cache_hits: count("cache_hits")?,
-                failures: count("failures")?,
-                cells_per_sec: match field("cells_per_sec")? {
-                    Scalar::Raw(r) => r.parse().ok()?,
-                    Scalar::Str(_) => return None,
-                },
-                eta_ms: num("eta_ms")?,
-            },
-            "campaign_finished" => CampaignEvent::CampaignFinished {
-                done: count("done")?,
-                failed: count("failed")?,
-                skipped: count("skipped")?,
-                elapsed_ms: num("elapsed_ms")?,
-            },
-            _ => return None,
-        };
-        Some((t_ms, event))
-    }
-}
-
-/// A scalar field of a flat telemetry object: a decoded string, or any
-/// bare token (numbers) kept as text and parsed at interpretation time so
-/// `u64` values never round-trip through `f64`.
-enum Scalar {
-    Str(String),
-    Raw(String),
-}
-
-/// Parses a single *flat* JSON object (`{"k":scalar,...}`, no nesting —
-/// all [`CampaignEvent::to_json`] ever emits) into its fields. Any
-/// structural defect returns `None`; a torn tail (what a crashed worker's
-/// last line looks like) is a structural defect.
-fn parse_flat_object(s: &str) -> Option<Vec<(String, Scalar)>> {
-    let mut it = s.chars().peekable();
-    if it.next()? != '{' {
-        return None;
-    }
-    let mut fields = Vec::new();
-    if it.peek() == Some(&'}') {
-        it.next();
-    } else {
-        loop {
-            if it.next()? != '"' {
-                return None;
-            }
-            let key = parse_string_body(&mut it)?;
-            if it.next()? != ':' {
-                return None;
-            }
-            let val = match it.peek()? {
-                '"' => {
-                    it.next();
-                    Scalar::Str(parse_string_body(&mut it)?)
-                }
-                '{' | '[' => return None,
-                _ => {
-                    let mut raw = String::new();
-                    while it.peek().is_some_and(|&c| c != ',' && c != '}') {
-                        raw.push(it.next()?);
-                    }
-                    if raw.is_empty() {
-                        return None;
-                    }
-                    Scalar::Raw(raw)
-                }
-            };
-            fields.push((key, val));
-            match it.next()? {
-                ',' => continue,
-                '}' => break,
-                _ => return None,
-            }
-        }
-    }
-    if it.next().is_some() {
-        return None; // trailing garbage after the closing brace
-    }
-    Some(fields)
-}
-
-fn parse_string_body(it: &mut std::iter::Peekable<std::str::Chars<'_>>) -> Option<String> {
-    let mut out = String::new();
-    loop {
-        match it.next()? {
-            '"' => return Some(out),
-            '\\' => match it.next()? {
-                '"' => out.push('"'),
-                '\\' => out.push('\\'),
-                '/' => out.push('/'),
-                'n' => out.push('\n'),
-                't' => out.push('\t'),
-                'r' => out.push('\r'),
-                'b' => out.push('\u{8}'),
-                'f' => out.push('\u{c}'),
-                'u' => {
-                    let code = parse_hex4(it)?;
-                    let c = match code {
-                        // Surrogate pair: our encoder never emits one, but
-                        // worker labels pass through foreign tools too.
-                        0xD800..=0xDBFF => {
-                            if it.next()? != '\\' || it.next()? != 'u' {
-                                return None;
-                            }
-                            let low = parse_hex4(it)?;
-                            if !(0xDC00..=0xDFFF).contains(&low) {
-                                return None;
-                            }
-                            char::from_u32(0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00))?
-                        }
-                        _ => char::from_u32(code)?,
-                    };
-                    out.push(c);
-                }
-                _ => return None,
-            },
-            c => out.push(c),
-        }
-    }
-}
-
-fn parse_hex4(it: &mut std::iter::Peekable<std::str::Chars<'_>>) -> Option<u32> {
-    let mut v = 0u32;
-    for _ in 0..4 {
-        v = v * 16 + it.next()?.to_digit(16)?;
-    }
-    Some(v)
-}
-
-/// Maps a worker-streamed failure kind back onto the closed
-/// [`crate::sweep::FailureKind`] tag set — the event holds `&'static str`.
-pub(crate) fn intern_failure_kind(kind: &str) -> Option<&'static str> {
-    crate::sweep::FailureKind::TAGS
-        .into_iter()
-        .find(|k| *k == kind)
 }
 
 /// Finite-guarding float rendering: JSON has no NaN/Inf literals.
@@ -546,19 +335,9 @@ fn format_f64(v: f64) -> String {
     }
 }
 
+/// `s` as a quoted JSON string.
 fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
+    format!("\"{}\"", sim_core::trace::json_escape(s))
 }
 
 /// Anything that can absorb a stream of stamped campaign events.
@@ -595,8 +374,7 @@ impl Drop for Hub {
 /// the default), `emit` is a branch on a `None` and the closure is never
 /// evaluated; enabled, events are stamped with wall-clock milliseconds
 /// since the hub was created and fanned out to every sink under a lock
-/// (cheap against multi-millisecond cells). Clones share the hub, so one
-/// handle threads through the executor's worker threads.
+/// (cheap against multi-millisecond cells). Clones share the hub.
 #[derive(Clone, Default)]
 pub struct Telemetry {
     hub: Option<Arc<Hub>>,
@@ -639,7 +417,7 @@ impl Telemetry {
         }
     }
 
-    /// Flushes every sink (called by the executor at campaign end).
+    /// Flushes every sink (called by the ledger at campaign end).
     pub fn flush(&self) {
         if let Some(hub) = &self.hub {
             let mut sinks = hub.sinks.lock().expect("telemetry sinks lock");
@@ -1103,18 +881,59 @@ mod tests {
 
     #[test]
     fn json_lines_are_balanced_and_escaped() {
-        let nasty = CampaignEvent::CellFailed {
-            idx: 3,
-            label: "a\"b\\c\nd".into(),
-            kind: "panic",
-            error: "went \"boom\"".into(),
-            attempts: 2,
-        };
-        for e in sample_events().into_iter().chain([nasty]) {
+        // Every variant's full line is pinned, so a dropped or renamed
+        // field fails here; the awkward strings cover every escape.
+        let awkward = [
+            (
+                CampaignEvent::CellRetried {
+                    idx: 9,
+                    label: "HT-H/GETM".into(),
+                    attempt: 2,
+                    error: "tab\there \"quoted\" back\\slash".into(),
+                },
+                r#"{"t_ms":42,"ev":"cell_retried","idx":9,"label":"HT-H/GETM","attempt":2,"error":"tab\u0009here \"quoted\" back\\slash"}"#,
+            ),
+            (
+                CampaignEvent::CellFailed {
+                    idx: 3,
+                    label: "a\"b\\c\nd\u{7}".into(),
+                    kind: "timeout",
+                    error: "went \"boom\"".into(),
+                    attempts: 2,
+                },
+                r#"{"t_ms":42,"ev":"cell_failed","idx":3,"label":"a\"b\\c\u000ad\u0007","kind":"timeout","error":"went \"boom\"","attempts":2}"#,
+            ),
+            (
+                CampaignEvent::CellDegraded {
+                    idx: 1,
+                    label: "ATM/GETM".into(),
+                    escalations: 4,
+                    serialized_commits: 17,
+                },
+                r#"{"t_ms":42,"ev":"cell_degraded","idx":1,"label":"ATM/GETM","escalations":4,"serialized_commits":17}"#,
+            ),
+        ];
+        let sample_lines = [
+            r#"{"t_ms":42,"ev":"campaign_started","total":2,"workers":1,"resumed":0}"#,
+            r#"{"t_ms":42,"ev":"cell_queued","idx":0,"label":"HT-H/GETM"}"#,
+            r#"{"t_ms":42,"ev":"cell_started","idx":0,"label":"HT-H/GETM","attempt":1}"#,
+            r#"{"t_ms":42,"ev":"cell_finished","idx":0,"label":"HT-H/GETM","cycles":1000,"commits":64,"aborts":3,"elapsed_ms":17}"#,
+            r#"{"t_ms":42,"ev":"cell_cache_hit","idx":1,"label":"ATM/GETM","cycles":900}"#,
+            r#"{"t_ms":42,"ev":"throughput","done":2,"total":2,"cache_hits":1,"failures":0,"cells_per_sec":12.5,"eta_ms":0}"#,
+            r#"{"t_ms":42,"ev":"campaign_finished","done":2,"failed":0,"skipped":0,"elapsed_ms":20}"#,
+        ];
+        let pinned: Vec<(CampaignEvent, &str)> = sample_events()
+            .into_iter()
+            .zip(sample_lines)
+            .chain(awkward)
+            .collect();
+        let mut kinds: Vec<&str> = pinned.iter().map(|(e, _)| e.kind()).collect();
+        kinds.sort_unstable();
+        kinds.dedup();
+        assert_eq!(kinds.len(), 10, "one pinned line per variant");
+        for (e, want) in pinned {
             let line = e.to_json(42);
-            assert!(line.starts_with('{') && line.ends_with('}'), "{line}");
-            assert!(line.contains("\"t_ms\":42"), "{line}");
-            assert!(line.contains(&format!("\"ev\":\"{}\"", e.kind())), "{line}");
+            assert_eq!(line, want);
             assert!(!line.contains('\n'), "JSONL lines must be single lines");
             // Brace balance outside strings is a cheap structural check;
             // CI's jq pass is the real validator.
@@ -1135,71 +954,6 @@ mod tests {
             }
             assert_eq!(depth, 0, "unbalanced object: {line}");
             assert!(!in_str, "unterminated string: {line}");
-        }
-    }
-
-    #[test]
-    fn every_event_round_trips_through_json() {
-        let nasty = vec![
-            CampaignEvent::CellRetried {
-                idx: 9,
-                label: "HT-H/GETM".into(),
-                attempt: 2,
-                error: "tab\there \"quoted\" back\\slash".into(),
-            },
-            CampaignEvent::CellFailed {
-                idx: 3,
-                label: "a\"b\\c\nd\u{7}".into(),
-                kind: "timeout",
-                error: "went \"boom\"".into(),
-                attempts: 2,
-            },
-            CampaignEvent::CellDegraded {
-                idx: 1,
-                label: "ATM/GETM".into(),
-                escalations: 4,
-                serialized_commits: 17,
-            },
-        ];
-        for e in sample_events().into_iter().chain(nasty) {
-            let line = e.to_json(42);
-            let (t_ms, back) =
-                CampaignEvent::parse_json(&line).unwrap_or_else(|| panic!("must parse: {line}"));
-            assert_eq!(t_ms, 42, "{line}");
-            assert_eq!(back, e, "{line}");
-        }
-    }
-
-    #[test]
-    fn torn_and_garbled_lines_parse_as_none() {
-        let whole = CampaignEvent::CellStarted {
-            idx: 5,
-            label: "CC/GETM".into(),
-            attempt: 1,
-        }
-        .to_json(100);
-        // Every proper prefix is a torn line; none may parse.
-        for cut in 0..whole.len() {
-            assert!(
-                CampaignEvent::parse_json(&whole[..cut]).is_none(),
-                "torn prefix parsed: {:?}",
-                &whole[..cut]
-            );
-        }
-        for garbled in [
-            "",
-            "not json",
-            "{}",                                  // no t_ms/ev
-            "{\"t_ms\":1,\"ev\":\"no_such_tag\"}", // unknown tag
-            "{\"t_ms\":1,\"ev\":\"cell_queued\",\"idx\":0,\"label\":\"x\"}trailing",
-            "{\"t_ms\":1,\"ev\":\"cell_queued\",\"idx\":\"str\",\"label\":\"x\"}",
-            "{\"t_ms\":1,\"ev\":\"cell_failed\",\"idx\":0,\"label\":\"x\",\
-             \"kind\":\"weird\",\"error\":\"e\",\"attempts\":1}", // foreign kind
-        ] {
-            assert!(
-                CampaignEvent::parse_json(garbled).is_none(),
-                "garbled line parsed: {garbled:?}"
-            );
         }
     }
 

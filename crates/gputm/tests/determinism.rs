@@ -146,38 +146,43 @@ fn verified_runs_agree_with_serial_verdicts() {
 
 #[test]
 fn cache_digest_is_shared_across_exec_modes() {
-    // Execution mode never changes results, so a cell computed sharded and
-    // one computed serially must address the same cache entry.
-    let cell = CellSpec::new(
+    // Execution mode never changes results, so a cell a sharded sweep
+    // computed is a cache hit for a serial sweep of the same grid.
+    use gputm::sweep::{run_sweep_report, ExperimentSpec, ResultCache, SweepOptions};
+    let dir = std::env::temp_dir().join(format!("getm-det-cache-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let spec = ExperimentSpec::from_cells(vec![CellSpec::new(
         Benchmark::Atm,
         Scale::Fast,
         TmSystem::Getm,
         GpuConfig::tiny_test(),
+    )]);
+    let sweep = |exec| {
+        let opts = SweepOptions::new()
+            .threads(1)
+            .cache(ResultCache::new(&dir))
+            .cell_exec(exec);
+        run_sweep_report(&spec, &opts)
+    };
+    let sharded = sweep(ExecMode::Sharded { threads: 2 });
+    let serial = sweep(ExecMode::Serial);
+    assert!(sharded.is_complete() && serial.is_complete());
+    assert!(!sharded.outcomes[0].cached);
+    assert!(
+        serial.outcomes[0].cached,
+        "exec mode must be excluded from the cache digest"
     );
-    let serial_key = cell.cache_key();
-    for threads in [1, 2, 8] {
-        let sharded_key = cell
-            .clone()
-            .with_exec(ExecMode::Sharded { threads })
-            .cache_key();
-        assert_eq!(
-            serial_key, sharded_key,
-            "exec mode must be excluded from the cache digest"
-        );
-    }
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn sharded_cell_results_match_serial_cell_results() {
     // End-to-end through the sweep cell API: the digest-sharing above is
     // only sound because the computed metrics really are identical.
-    let cfg = machine();
-    let serial = CellSpec::new(Benchmark::Atm, Scale::Fast, TmSystem::Getm, cfg.clone())
-        .run()
-        .expect("serial cell");
-    let sharded = CellSpec::new(Benchmark::Atm, Scale::Fast, TmSystem::Getm, cfg)
-        .with_exec(ExecMode::Sharded { threads: 4 })
-        .run()
+    let cell = CellSpec::new(Benchmark::Atm, Scale::Fast, TmSystem::Getm, machine());
+    let serial = cell.run().expect("serial cell");
+    let sharded = cell
+        .run_with(&RunOptions::default().exec(ExecMode::Sharded { threads: 4 }))
         .expect("sharded cell");
     assert_eq!(serial, sharded);
 }

@@ -57,14 +57,12 @@ fn normalized(ev: &CampaignEvent) -> CampaignEvent {
 
 /// Runs the small grid on one sweep worker with a capture sink attached,
 /// using `exec` for every cell, and returns (metrics, events).
-fn run_captured(exec: Option<ExecMode>) -> (Vec<gputm::Metrics>, Vec<CampaignEvent>) {
+fn run_captured(exec: ExecMode) -> (Vec<gputm::Metrics>, Vec<CampaignEvent>) {
     let (sink, captured) = MemorySink::new();
-    let mut opts = SweepOptions::new()
+    let opts = SweepOptions::new()
         .threads(1)
+        .cell_exec(exec)
         .telemetry(Telemetry::to_sinks(vec![Box::new(sink)]));
-    if let Some(exec) = exec {
-        opts = opts.cell_exec(exec);
-    }
     let report = run_sweep_report(&small_spec(), &opts);
     assert!(report.is_complete(), "sweep: {:?}", report.failures);
     let metrics = report.outcomes.into_iter().map(|o| o.metrics).collect();
@@ -82,8 +80,8 @@ fn run_captured(exec: Option<ExecMode>) -> (Vec<gputm::Metrics>, Vec<CampaignEve
 /// event sequences modulo timing fields.
 #[test]
 fn serial_and_sharded_sweeps_emit_equivalent_streams() {
-    let (serial_metrics, serial_events) = run_captured(None);
-    let (sharded_metrics, sharded_events) = run_captured(Some(ExecMode::Sharded { threads: 2 }));
+    let (serial_metrics, serial_events) = run_captured(ExecMode::Serial);
+    let (sharded_metrics, sharded_events) = run_captured(ExecMode::Sharded { threads: 2 });
 
     assert_eq!(serial_metrics, sharded_metrics, "determinism contract");
     assert_eq!(
@@ -105,10 +103,12 @@ fn serial_and_sharded_sweeps_emit_equivalent_streams() {
 }
 
 /// Stream coherence: bracketed by campaign start/finish, every cell
-/// queued then started, and exactly one terminal event per cell.
+/// queued then started, and exactly one terminal event per cell. On one
+/// sweep worker the cells run one after another, and the stream says so:
+/// each cell starts only after the previous cell's terminal event.
 #[test]
 fn stream_is_coherent() {
-    let (_, events) = run_captured(None);
+    let (_, events) = run_captured(ExecMode::Serial);
     let total = small_spec().len();
 
     assert!(matches!(
@@ -136,6 +136,21 @@ fn stream_is_coherent() {
             of_cell.iter().filter(|e| e.is_terminal()).count(),
             1,
             "cell {idx} must have exactly one terminal event"
+        );
+    }
+    let position = |idx: usize, pick: fn(&CampaignEvent) -> bool| {
+        events
+            .iter()
+            .position(|e| e.cell_idx() == Some(idx) && pick(e))
+            .unwrap_or_else(|| panic!("cell {idx} lacks an event"))
+    };
+    for idx in 1..total {
+        let started = position(idx, |e| matches!(e, CampaignEvent::CellStarted { .. }));
+        let previous_done = position(idx - 1, CampaignEvent::is_terminal);
+        assert!(
+            previous_done < started,
+            "cell {idx} started before cell {} finished",
+            idx - 1
         );
     }
     // Throughput samples at every completion: deterministic event count.

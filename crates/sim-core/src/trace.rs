@@ -408,7 +408,11 @@ impl fmt::Debug for Recorder {
     }
 }
 
-fn json_escape(s: &str) -> String {
+/// Escapes `s` for the inside of a JSON string literal: quotes,
+/// backslashes and control characters. The one JSON string escaper of
+/// the workspace (the Chrome trace export and the campaign telemetry
+/// JSONL both use it).
+pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
@@ -676,6 +680,36 @@ mod tests {
         assert_eq!(bus.len(), 2);
         let cycles: Vec<u64> = bus.iter().map(|(s, _)| s.cycle).collect();
         assert_eq!(cycles, vec![1, 5]);
+    }
+
+    #[test]
+    fn json_escape_round_trips() {
+        // The inverse for the escapes json_escape writes: \" \\ \uXXXX.
+        fn unescape(e: &str) -> String {
+            let mut out = String::new();
+            let mut it = e.chars();
+            while let Some(c) = it.next() {
+                if c != '\\' {
+                    out.push(c);
+                    continue;
+                }
+                match it.next().unwrap() {
+                    'u' => {
+                        let hex: String = it.by_ref().take(4).collect();
+                        let code = u32::from_str_radix(&hex, 16).unwrap();
+                        out.push(char::from_u32(code).unwrap());
+                    }
+                    c => out.push(c),
+                }
+            }
+            out
+        }
+        for s in ["", "plain", "a\"b\\c\nd\u{7}", "tab\there", "é ✓ \u{1f600}"] {
+            let e = json_escape(s);
+            assert!(e.chars().all(|c| c >= ' '), "{e:?}");
+            assert_eq!(unescape(&e), s, "{e:?}");
+        }
+        assert_eq!(json_escape("q\"\\\n"), "q\\\"\\\\\\u000a");
     }
 
     #[test]
