@@ -21,7 +21,10 @@
 //! * [`cu`] — the commit unit: write-log coalescing, LLC writes, and lock
 //!   release.
 //! * [`msg`] — the request/reply vocabulary exchanged with SIMT cores.
-//! * [`rollover`] — the logical-timestamp rollover protocol.
+//!
+//! Logical-timestamp rollover (Sec. V-B1) spans the whole machine — it
+//! quiesces every core and flushes every unit — so the `gputm` engine
+//! runs it, using [`ValidationUnit::flush`] for the per-partition reset.
 //!
 //! The units are deliberately independent of the interconnect: the `gputm`
 //! facade moves messages and charges crossbar/LLC timing, while everything
@@ -34,11 +37,9 @@
 pub mod cu;
 pub mod meta;
 pub mod msg;
-pub mod rollover;
 pub mod vu;
 
 pub use cu::CommitUnit;
 pub use meta::TxMetadata;
 pub use msg::{AccessKind, AccessReply, AccessRequest, CommitEntry, ReplyKind};
-pub use rollover::RolloverCoordinator;
 pub use vu::{ApproxMode, GetmConfig, ValidationUnit, VuStats};

@@ -1,12 +1,20 @@
 //! DRAM channel timing.
 //!
 //! A memory partition that misses in its LLC bank forwards the request to
-//! its DRAM channel. We model the channel as a bandwidth-limited server with
-//! a fixed access latency and a bounded request queue (Table II: 6 channels,
-//! 32 queued requests each, ~200-cycle access latency). Row-buffer state and
-//! FR-FCFS reordering are abstracted away: for the TM protocol comparison,
-//! what matters is that misses cost hundreds of cycles and that channels
-//! back up under load, both of which this model captures.
+//! its DRAM channel. [`DramChannel`] models the channel as a
+//! bandwidth-limited server with a fixed access latency and a bounded
+//! outstanding-request queue (Table II: 6 channels, 32 queued requests
+//! each, ~200-cycle access latency). A request that finds the queue full
+//! waits for the earliest outstanding access to complete — back-pressure
+//! modelled as admission delay, so every request is eventually served and
+//! the caller never retries. Row-buffer state and FR-FCFS reordering are
+//! abstracted away: for the TM protocol comparison, what matters is that
+//! misses cost hundreds of cycles and that channels back up under load,
+//! both of which this model captures.
+//!
+//! The engine times DRAM through this model under its HBM memory model;
+//! the fixed-latency Fermi model charges `latency` alone and never
+//! touches a channel.
 //!
 //! HBM stacks ([`DramConfig::hbm`]) differ from GDDR in three ways the
 //! model keeps: much higher per-partition bandwidth, shorter access
@@ -14,7 +22,7 @@
 //! independent halves that serve requests concurrently, which is why HBM
 //! sustains more outstanding traffic at the same queue depth.
 
-use sim_core::{Counter, Cycle, EventWheel};
+use sim_core::Cycle;
 
 /// DRAM channel configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -56,118 +64,92 @@ impl DramConfig {
     }
 }
 
-/// One DRAM channel.
+/// One partition's DRAM channel.
 ///
 /// ```
 /// use gpu_mem::{DramChannel, DramConfig};
 /// use sim_core::Cycle;
 ///
-/// let mut d: DramChannel<u32> = DramChannel::new(DramConfig::default());
-/// let done = d.request(Cycle(0), 128, 7).unwrap();
-/// assert!(done >= Cycle(200));
-/// assert_eq!(d.complete(done), vec![7]);
+/// let mut d = DramChannel::new(DramConfig::default());
+/// let done = d.request(Cycle(0), 128);
+/// assert_eq!(done, Cycle(207)); // 7 cycles of service + 200 latency
 /// ```
-#[derive(Debug)]
-pub struct DramChannel<T> {
+#[derive(Debug, Clone)]
+pub struct DramChannel {
     cfg: DramConfig,
     /// Per-pseudo-channel busy horizon; requests pick the earliest.
-    busy_until: Vec<Cycle>,
-    wheel: EventWheel<T>,
-    accesses: Counter,
-    bytes: Counter,
-    rejected_requests: Counter,
-    stall_cycles: Counter,
-    /// Whether the *current* logical request has already been counted
-    /// rejected (a caller retries the same request every cycle until it
-    /// is admitted, and one admission ends the episode).
-    blocked: bool,
+    chan_free: Vec<Cycle>,
+    /// Completion times of requests still outstanding (at most
+    /// `queue_capacity`; completed ones are pruned on the next request).
+    inflight: Vec<Cycle>,
+    /// Requests that had to wait for an outstanding-queue slot.
+    queue_stalls: u64,
 }
 
-impl<T> DramChannel<T> {
+impl DramChannel {
     /// Creates an idle channel.
     pub fn new(cfg: DramConfig) -> Self {
         assert!(cfg.bytes_per_cycle > 0);
         assert!(cfg.pseudo_channels > 0);
         DramChannel {
             cfg,
-            busy_until: vec![Cycle::ZERO; cfg.pseudo_channels as usize],
-            wheel: EventWheel::new(),
-            accesses: Counter::new(),
-            bytes: Counter::new(),
-            rejected_requests: Counter::new(),
-            stall_cycles: Counter::new(),
-            blocked: false,
+            chan_free: vec![Cycle::ZERO; cfg.pseudo_channels as usize],
+            inflight: Vec::new(),
+            queue_stalls: 0,
         }
     }
 
-    /// Enqueues a `bytes`-byte access, returning its completion time, or
-    /// `None` if the queue is full (the caller retries next cycle).
-    ///
-    /// The request lands on whichever pseudo-channel frees up first.
-    pub fn request(&mut self, now: Cycle, bytes: u64, tag: T) -> Option<Cycle> {
-        if self.wheel.len() >= self.cfg.queue_capacity {
-            // Count the logical request once, on the first back-pressured
-            // attempt; every attempt is one stall cycle. (The old model
-            // bumped `rejected` per retry, conflating the two.)
-            if !self.blocked {
-                self.blocked = true;
-                self.rejected_requests.inc();
-            }
-            self.stall_cycles.inc();
-            return None;
+    /// Charges a `bytes`-byte access issued at `now`, returning the cycle
+    /// its data is back: admission delay if the outstanding queue is full,
+    /// service on the least-loaded pseudo-channel, then the access latency.
+    pub fn request(&mut self, now: Cycle, bytes: u64) -> Cycle {
+        self.inflight.retain(|&c| c > now);
+        let mut admit = now;
+        if self.inflight.len() >= self.cfg.queue_capacity {
+            // Queue full: the request waits until the earliest in-flight
+            // access completes and frees a slot.
+            let (i, &earliest) = self
+                .inflight
+                .iter()
+                .enumerate()
+                .min_by_key(|(_, c)| **c)
+                .expect("full queue is nonempty");
+            self.inflight.swap_remove(i);
+            admit = earliest;
+            self.queue_stalls += 1;
         }
-        self.blocked = false;
+        let done = self.serve(admit, bytes) + self.cfg.latency;
+        self.inflight.push(done);
+        done
+    }
+
+    /// Occupies a pseudo-channel with `bytes` of off-critical-path traffic
+    /// (victim writebacks): later requests queue behind it, but nothing
+    /// waits on its completion and it takes no queue slot.
+    pub fn occupy(&mut self, now: Cycle, bytes: u64) {
+        self.serve(now, bytes);
+    }
+
+    /// Requests that found the outstanding queue full and waited for a
+    /// slot.
+    pub fn queue_stalls(&self) -> u64 {
+        self.queue_stalls
+    }
+
+    /// Books `bytes` of service on the earliest-free pseudo-channel (first
+    /// on ties, so the choice is deterministic), starting no earlier than
+    /// `start`, and returns when the service ends.
+    fn serve(&mut self, start: Cycle, bytes: u64) -> Cycle {
         let service = bytes.max(1).div_ceil(self.cfg.bytes_per_cycle);
-        let pc = self
-            .busy_until
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, c)| **c)
-            .map(|(i, _)| i)
-            .expect("at least one pseudo-channel");
-        let start = self.busy_until[pc].max(now);
-        self.busy_until[pc] = start + service;
-        let done = self.busy_until[pc] + self.cfg.latency;
-        self.wheel.schedule(done, tag);
-        self.accesses.inc();
-        self.bytes.add(bytes);
-        Some(done)
-    }
-
-    /// Pops every access that has completed by `now`.
-    pub fn complete(&mut self, now: Cycle) -> Vec<T> {
-        let mut out = Vec::new();
-        while let Some(t) = self.wheel.pop_due(now) {
-            out.push(t);
+        let mut pc = 0;
+        for (i, &c) in self.chan_free.iter().enumerate().skip(1) {
+            if c < self.chan_free[pc] {
+                pc = i;
+            }
         }
-        out
-    }
-
-    /// Requests currently in flight.
-    pub fn in_flight(&self) -> usize {
-        self.wheel.len()
-    }
-
-    /// Lifetime access count.
-    pub fn accesses(&self) -> u64 {
-        self.accesses.get()
-    }
-
-    /// Lifetime bytes transferred.
-    pub fn bytes(&self) -> u64 {
-        self.bytes.get()
-    }
-
-    /// Logical requests that were ever rejected by a full queue — each
-    /// request counts once no matter how many cycles it retried.
-    pub fn rejected_requests(&self) -> u64 {
-        self.rejected_requests.get()
-    }
-
-    /// Total cycles callers spent blocked on a full queue (one per
-    /// rejected attempt). Always >= [`DramChannel::rejected_requests`].
-    pub fn stall_cycles(&self) -> u64 {
-        self.stall_cycles.get()
+        let begin = self.chan_free[pc].max(start);
+        self.chan_free[pc] = begin + service;
+        self.chan_free[pc]
     }
 }
 
@@ -175,7 +157,7 @@ impl<T> DramChannel<T> {
 mod tests {
     use super::*;
 
-    fn chan() -> DramChannel<u32> {
+    fn chan() -> DramChannel {
         DramChannel::new(DramConfig {
             latency: 200,
             bytes_per_cycle: 21,
@@ -187,77 +169,54 @@ mod tests {
     #[test]
     fn single_access_latency() {
         let mut d = chan();
-        let done = d.request(Cycle(0), 128, 1).unwrap();
         // 128/21 -> 7 cycles service + 200 latency
-        assert_eq!(done, Cycle(207));
-        assert!(d.complete(Cycle(206)).is_empty());
-        assert_eq!(d.complete(Cycle(207)), vec![1]);
+        assert_eq!(d.request(Cycle(0), 128), Cycle(207));
+        assert_eq!(d.queue_stalls(), 0);
     }
 
     #[test]
     fn back_to_back_serializes() {
         let mut d = chan();
-        let a = d.request(Cycle(0), 128, 1).unwrap();
-        let b = d.request(Cycle(0), 128, 2).unwrap();
+        let a = d.request(Cycle(0), 128);
+        let b = d.request(Cycle(0), 128);
         assert_eq!(b - a, 7); // second waits for the channel
-    }
-
-    #[test]
-    fn queue_capacity_backpressures() {
-        let mut d = chan();
-        for i in 0..4 {
-            assert!(d.request(Cycle(0), 128, i).is_some());
-        }
-        assert!(d.request(Cycle(0), 128, 9).is_none());
-        assert_eq!(d.rejected_requests(), 1);
-        // After completions drain, requests flow again.
-        let _ = d.complete(Cycle(10_000));
-        assert!(d.request(Cycle(10_000), 128, 9).is_some());
-    }
-
-    /// The regression the bugfix pins: a single logical request retrying
-    /// against a full queue for N cycles is ONE rejected request and N
-    /// stall cycles — the old code reported N rejected requests.
-    #[test]
-    fn retry_cycles_do_not_inflate_rejected_requests() {
-        let mut d = chan();
-        for i in 0..4 {
-            d.request(Cycle(0), 128, i);
-        }
-        // One logical request retries for 5 consecutive cycles.
-        for c in 0..5 {
-            assert!(d.request(Cycle(c), 128, 9).is_none());
-        }
-        assert_eq!(d.rejected_requests(), 1, "one request, one rejection");
-        assert_eq!(d.stall_cycles(), 5, "but five blocked cycles");
-        // Admission ends the episode; the next full-queue request is a
-        // fresh rejection.
-        let _ = d.complete(Cycle(10_000));
-        assert!(d.request(Cycle(10_000), 128, 9).is_some());
-        for i in 0..3 {
-            d.request(Cycle(10_000), 128, 20 + i);
-        }
-        assert!(d.request(Cycle(10_000), 128, 30).is_none());
-        assert_eq!(d.rejected_requests(), 2);
-        assert_eq!(d.stall_cycles(), 6);
-    }
-
-    #[test]
-    fn stats() {
-        let mut d = chan();
-        d.request(Cycle(0), 100, 1);
-        d.request(Cycle(0), 28, 2);
-        assert_eq!(d.accesses(), 2);
-        assert_eq!(d.bytes(), 128);
-        assert_eq!(d.in_flight(), 2);
     }
 
     #[test]
     fn idle_gap_resets_service_start() {
         let mut d = chan();
-        d.request(Cycle(0), 21, 1);
-        let done = d.request(Cycle(1000), 21, 2).unwrap();
-        assert_eq!(done, Cycle(1201));
+        d.request(Cycle(0), 21);
+        assert_eq!(d.request(Cycle(1000), 21), Cycle(1201));
+    }
+
+    /// A full queue delays admission until the earliest outstanding
+    /// access completes; each such request counts one queue stall.
+    #[test]
+    fn queue_capacity_backpressures() {
+        let mut d = chan();
+        let done: Vec<Cycle> = (0..4).map(|_| d.request(Cycle(0), 128)).collect();
+        assert_eq!(done, vec![Cycle(207), Cycle(214), Cycle(221), Cycle(228)]);
+        assert_eq!(d.queue_stalls(), 0);
+        // The fifth is admitted when the first completes (207), then
+        // serves for 7 cycles and waits out the latency.
+        assert_eq!(d.request(Cycle(0), 128), Cycle(207 + 7 + 200));
+        assert_eq!(d.queue_stalls(), 1);
+        // Once outstanding accesses complete, requests flow undelayed.
+        assert_eq!(d.request(Cycle(10_000), 128), Cycle(10_207));
+        assert_eq!(d.queue_stalls(), 1);
+    }
+
+    /// Writeback occupancy delays later requests without holding a queue
+    /// slot.
+    #[test]
+    fn occupy_takes_bandwidth_not_queue_slots() {
+        let mut d = chan();
+        for _ in 0..8 {
+            d.occupy(Cycle(0), 21);
+        }
+        // Eight 1-cycle writebacks ahead of it, and no queue stall.
+        assert_eq!(d.request(Cycle(0), 21), Cycle(8 + 1 + 200));
+        assert_eq!(d.queue_stalls(), 0);
     }
 
     // ---- HBM pseudo-channels ----
@@ -270,41 +229,39 @@ mod tests {
         assert!(hbm.bytes_per_cycle * hbm.pseudo_channels as u64 > gddr.bytes_per_cycle);
         assert!(hbm.queue_capacity > gddr.queue_capacity);
         assert_eq!(hbm.pseudo_channels, 2);
+        // The same burst of line fills drains sooner on HBM.
+        let mut fast = DramChannel::new(hbm);
+        let mut slow = DramChannel::new(gddr);
+        let last = |d: &mut DramChannel| (0..16).map(|_| d.request(Cycle(0), 128)).last();
+        assert!(last(&mut fast) < last(&mut slow));
     }
 
     #[test]
     fn pseudo_channels_serve_concurrently() {
-        let mut two: DramChannel<u32> = DramChannel::new(DramConfig {
-            pseudo_channels: 2,
-            ..DramConfig::hbm()
-        });
+        let mut two = DramChannel::new(DramConfig::hbm());
         // Two same-size requests at the same cycle: each takes its own
         // pseudo-channel, so both complete at the single-request time.
-        let a = two.request(Cycle(0), 128, 1).unwrap();
-        let b = two.request(Cycle(0), 128, 2).unwrap();
+        let a = two.request(Cycle(0), 128);
+        let b = two.request(Cycle(0), 128);
         assert_eq!(a, b, "pseudo-channels serve in parallel");
         // A third serializes behind whichever finishes first.
-        let c = two.request(Cycle(0), 128, 3).unwrap();
+        let c = two.request(Cycle(0), 128);
         assert!(c > a);
     }
 
     #[test]
     fn hbm_queue_backpressure_with_pseudo_channels() {
-        let cfg = DramConfig {
+        let mut d = DramChannel::new(DramConfig {
             queue_capacity: 4,
             ..DramConfig::hbm()
-        };
-        let mut d: DramChannel<u32> = DramChannel::new(cfg);
-        for i in 0..4 {
-            assert!(d.request(Cycle(0), 256, i).is_some());
-        }
-        for c in 0..3 {
-            assert!(d.request(Cycle(c), 256, 9).is_none());
-        }
-        assert_eq!(d.rejected_requests(), 1);
-        assert_eq!(d.stall_cycles(), 3);
-        let _ = d.complete(Cycle(100_000));
-        assert!(d.request(Cycle(100_000), 256, 9).is_some());
-        assert_eq!(d.in_flight(), 1);
+        });
+        // 256 B at 27 B/cyc is 10 cycles of service: two per channel.
+        let done: Vec<Cycle> = (0..4).map(|_| d.request(Cycle(0), 256)).collect();
+        assert_eq!(done, vec![Cycle(130), Cycle(130), Cycle(140), Cycle(140)]);
+        // Full: admitted at 130 on a channel free at 20.
+        assert_eq!(d.request(Cycle(0), 256), Cycle(130 + 10 + 120));
+        assert_eq!(d.queue_stalls(), 1);
+        assert_eq!(d.request(Cycle(100_000), 256), Cycle(100_130));
+        assert_eq!(d.queue_stalls(), 1);
     }
 }

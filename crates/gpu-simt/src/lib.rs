@@ -2,8 +2,7 @@
 //!
 //! The SIMT execution substrate: thread programs, warps, the transactional
 //! SIMT stack, the greedy-then-oldest warp scheduler, the memory-access
-//! coalescer, per-thread transaction logs, intra-warp conflict resolution,
-//! and probabilistic backoff.
+//! coalescer, per-thread transaction logs, and probabilistic backoff.
 //!
 //! The components here are protocol-agnostic mechanisms: the GETM and
 //! WarpTM crates layer their conflict-detection policies on top, and the
@@ -21,9 +20,9 @@ pub mod stack;
 pub mod warp;
 
 pub use backoff::Backoff;
-pub use coalesce::{coalesce_by_granule, CoalescedAccess};
+pub use coalesce::{coalesce_by_granule, LaneList};
 pub use ids::{CoreId, GlobalWarpId, LaneId, WarpIndex};
-pub use log::{resolve_intra_warp, LogEntry, TxLogs};
+pub use log::{LogEntry, TxLogs};
 pub use program::{BoxedProgram, Op, OpResult, ThreadProgram};
 pub use scheduler::GtoScheduler;
 pub use stack::TxStack;

@@ -1,10 +1,13 @@
-//! Per-thread transaction logs and intra-warp conflict resolution.
+//! Per-thread transaction logs.
 //!
 //! Every transactional thread keeps a redo log in the core's local memory:
 //! loads record the observed value (needed by WarpTM's value-based
 //! validation), stores record the new value. GETM only *transmits* the
 //! write log at commit, but still records reads to drive intra-warp
-//! conflict detection, exactly as the paper describes (Sec. V-A).
+//! conflict detection, exactly as the paper describes (Sec. V-A). The
+//! engine runs that check at issue: the first lane to touch a granule
+//! wins, and a later lane conflicts if either access writes it
+//! ([`TxLogs::wrote_granule`], [`TxLogs::read_granule`]).
 
 use gpu_mem::{Addr, Geometry, Granule};
 use std::collections::HashMap;
@@ -140,35 +143,6 @@ impl TxLogs {
         self.write_counts.iter().map(|(&g, &c)| (Granule(g), c))
     }
 
-    /// Set of granules read, deduplicated.
-    pub fn read_granules(&self, geom: &Geometry) -> Vec<Granule> {
-        let mut gs: Vec<u64> = self
-            .reads
-            .iter()
-            .map(|e| geom.granule_of(e.addr).raw())
-            .collect();
-        gs.sort_unstable();
-        gs.dedup();
-        gs.into_iter().map(Granule).collect()
-    }
-
-    /// Set of granules written, deduplicated, in increasing order.
-    pub fn write_granules(&self) -> Vec<Granule> {
-        let mut gs: Vec<u64> = self.write_counts.keys().copied().collect();
-        gs.sort_unstable();
-        gs.into_iter().map(Granule).collect()
-    }
-
-    /// Bytes needed to transmit the write log (commit traffic).
-    pub fn write_log_bytes(&self) -> u64 {
-        self.writes.len() as u64 * LOG_ENTRY_BYTES
-    }
-
-    /// Bytes needed to transmit both logs (WarpTM validation traffic).
-    pub fn full_log_bytes(&self) -> u64 {
-        (self.reads.len() + self.writes.len()) as u64 * LOG_ENTRY_BYTES
-    }
-
     /// Clears both logs (after commit, abort cleanup, or retry).
     pub fn clear(&mut self) {
         self.reads.clear();
@@ -182,47 +156,9 @@ impl TxLogs {
     }
 }
 
-/// Resolves intra-warp conflicts among the open transactions of one warp's
-/// threads, returning the surviving lane mask.
-///
-/// Two threads of the same warp conflict if one wrote a granule the other
-/// read or wrote. Survivors are chosen greedily in lane order (the
-/// two-phase parallel scheme of WarpTM resolves to a deterministic winner
-/// set; lane order matches its leader-election tie-break). Threads whose
-/// slot is `None` (not in a transaction) are ignored.
-pub fn resolve_intra_warp(logs: &[Option<&TxLogs>], geom: &Geometry) -> Vec<bool> {
-    let mut survivors = vec![false; logs.len()];
-    // Granules written / read by surviving threads so far.
-    let mut written: HashMap<u64, ()> = HashMap::new();
-    let mut read: HashMap<u64, ()> = HashMap::new();
-
-    for (lane, slot) in logs.iter().enumerate() {
-        let Some(l) = slot else { continue };
-        let my_writes: Vec<u64> = l.write_granules().iter().map(|g| g.raw()).collect();
-        let my_reads: Vec<u64> = l.read_granules(geom).iter().map(|g| g.raw()).collect();
-
-        let conflict = my_writes
-            .iter()
-            .any(|g| written.contains_key(g) || read.contains_key(g))
-            || my_reads.iter().any(|g| written.contains_key(g));
-
-        if !conflict {
-            survivors[lane] = true;
-            for g in my_writes {
-                written.insert(g, ());
-            }
-            for g in my_reads {
-                read.insert(g, ());
-            }
-        }
-    }
-    survivors
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
 
     fn geom() -> Geometry {
         Geometry::new(128, 32, 6)
@@ -251,7 +187,6 @@ mod tests {
         assert_eq!(counts[&1], 1);
         assert!(l.wrote_granule(Granule(0)));
         assert!(!l.wrote_granule(Granule(2)));
-        assert_eq!(l.write_granules(), vec![Granule(0), Granule(1)]);
     }
 
     #[test]
@@ -290,19 +225,10 @@ mod tests {
         let mut l = TxLogs::new();
         l.record_read(Addr(0), 7);
         assert!(l.is_read_only());
+        assert!(l.read_granule(Granule(0), &g));
+        assert!(!l.read_granule(Granule(1), &g));
         l.record_write(Addr(0), 8, &g);
         assert!(!l.is_read_only());
-    }
-
-    #[test]
-    fn log_byte_sizes() {
-        let g = geom();
-        let mut l = TxLogs::new();
-        l.record_read(Addr(0), 1);
-        l.record_read(Addr(8), 2);
-        l.record_write(Addr(16), 3, &g);
-        assert_eq!(l.write_log_bytes(), 16);
-        assert_eq!(l.full_log_bytes(), 48);
     }
 
     #[test]
@@ -315,104 +241,5 @@ mod tests {
         l.clear();
         assert!(l.is_empty());
         assert!(l.is_read_only());
-    }
-
-    #[test]
-    fn intra_warp_disjoint_all_survive() {
-        let g = geom();
-        let mut a = TxLogs::new();
-        a.record_write(Addr(0), 1, &g);
-        let mut b = TxLogs::new();
-        b.record_write(Addr(32), 1, &g);
-        let survivors = resolve_intra_warp(&[Some(&a), Some(&b)], &g);
-        assert_eq!(survivors, vec![true, true]);
-    }
-
-    #[test]
-    fn intra_warp_ww_conflict_first_wins() {
-        let g = geom();
-        let mut a = TxLogs::new();
-        a.record_write(Addr(0), 1, &g);
-        let mut b = TxLogs::new();
-        b.record_write(Addr(8), 1, &g); // same granule 0
-        let survivors = resolve_intra_warp(&[Some(&a), Some(&b)], &g);
-        assert_eq!(survivors, vec![true, false]);
-    }
-
-    #[test]
-    fn intra_warp_rw_conflict() {
-        let g = geom();
-        let mut a = TxLogs::new();
-        a.record_write(Addr(0), 1, &g);
-        let mut b = TxLogs::new();
-        b.record_read(Addr(8), 1); // reads granule 0, written by a
-        let survivors = resolve_intra_warp(&[Some(&a), Some(&b)], &g);
-        assert_eq!(survivors, vec![true, false]);
-
-        // Writer after reader also conflicts.
-        let survivors = resolve_intra_warp(&[Some(&b), Some(&a)], &g);
-        assert_eq!(survivors, vec![true, false]);
-    }
-
-    #[test]
-    fn intra_warp_rr_no_conflict() {
-        let g = geom();
-        let mut a = TxLogs::new();
-        a.record_read(Addr(0), 1);
-        let mut b = TxLogs::new();
-        b.record_read(Addr(8), 1);
-        let survivors = resolve_intra_warp(&[Some(&a), Some(&b)], &g);
-        assert_eq!(survivors, vec![true, true]);
-    }
-
-    #[test]
-    fn intra_warp_skips_non_tx_lanes() {
-        let g = geom();
-        let mut a = TxLogs::new();
-        a.record_write(Addr(0), 1, &g);
-        let survivors = resolve_intra_warp(&[None, Some(&a), None], &g);
-        assert_eq!(survivors, vec![false, true, false]);
-    }
-
-    proptest! {
-        /// Survivors of intra-warp resolution are pairwise conflict-free.
-        #[test]
-        fn survivors_pairwise_disjoint(
-            accesses in proptest::collection::vec(
-                proptest::collection::vec((0u64..8, proptest::bool::ANY), 1..5),
-                2..8,
-            )
-        ) {
-            let g = geom();
-            let logs: Vec<TxLogs> = accesses
-                .iter()
-                .map(|th| {
-                    let mut l = TxLogs::new();
-                    for &(granule, is_write) in th {
-                        let addr = Addr(granule * 32);
-                        if is_write {
-                            l.record_write(addr, 0, &g);
-                        } else {
-                            l.record_read(addr, 0);
-                        }
-                    }
-                    l
-                })
-                .collect();
-            let refs: Vec<Option<&TxLogs>> = logs.iter().map(Some).collect();
-            let survivors = resolve_intra_warp(&refs, &g);
-            prop_assert!(survivors.iter().any(|&s| s), "at least one lane survives");
-            for i in 0..logs.len() {
-                for j in 0..logs.len() {
-                    if i == j || !survivors[i] || !survivors[j] {
-                        continue;
-                    }
-                    for gw in logs[i].write_granules() {
-                        prop_assert!(!logs[j].wrote_granule(gw));
-                        prop_assert!(!logs[j].read_granule(gw, &g));
-                    }
-                }
-            }
-        }
     }
 }

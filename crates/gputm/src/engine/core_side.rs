@@ -3,8 +3,8 @@
 //! warp commit sequences.
 //!
 //! Everything here runs on a [`CoreCtx`] — a (possibly whole-machine) core
-//! window with effect sinks — so the same code serves both the serial loop
-//! and each shard of a parallel issue phase.
+//! window with effect sinks — so the same code serves both issue on the
+//! lead thread and each shard of a parallel issue phase.
 
 use super::ctx::{CoreCtx, FxOp, FxSink, TokenPatch};
 use super::{CommitCtx, DownMsg, Pending, UpMsg};
@@ -13,7 +13,7 @@ use fglock::AtomicOp;
 use getm::{AccessKind as GetmKind, AccessRequest, CommitEntry, ReplyKind};
 use gpu_mem::{Addr, Granule};
 use gpu_simt::program::OpKind as K;
-use gpu_simt::{Op, OpResult, ThreadStatus};
+use gpu_simt::{coalesce_by_granule, Op, OpResult, ThreadStatus};
 use sim_core::history::NO_TXN;
 use sim_core::trace::{AbortCause, SimEvent, Stamp};
 use sim_core::SimError;
@@ -365,22 +365,13 @@ impl CoreCtx<'_> {
             let slot = self.cores[c].warps[w].as_ref().expect("warp");
             (slot.gwid, slot.warp.warpts)
         };
-        // Group survivors by granule, preserving first-appearance order.
-        // Both the group list and the per-granule lane lists are recycled:
-        // a lane list travels inside `Pending::Access` and comes back to
-        // the pool when the reply retires the context.
         let mut by_granule = std::mem::take(self.group_buf);
-        for &(l, a, _) in survivors {
-            let g = geom.granule_of(a);
-            match by_granule.iter_mut().find(|(gg, _)| *gg == g) {
-                Some((_, lanes)) => lanes.push((l, a)),
-                None => {
-                    let mut lanes = self.lane_pool.pop().unwrap_or_default();
-                    lanes.push((l, a));
-                    by_granule.push((g, lanes));
-                }
-            }
-        }
+        coalesce_by_granule(
+            survivors.iter().map(|&(l, a, _)| (l, a)),
+            &geom,
+            &mut by_granule,
+            self.lane_pool,
+        );
         let now = self.now;
         for (g, lanes) in by_granule.drain(..) {
             let part = geom.partition_of_granule(g) as usize;
@@ -438,17 +429,12 @@ impl CoreCtx<'_> {
         }
         let geom = self.geom;
         let mut by_granule = std::mem::take(self.group_buf);
-        for &(l, a, _) in survivors {
-            let g = geom.granule_of(a);
-            match by_granule.iter_mut().find(|(gg, _)| *gg == g) {
-                Some((_, lanes)) => lanes.push((l, a)),
-                None => {
-                    let mut lanes = self.lane_pool.pop().unwrap_or_default();
-                    lanes.push((l, a));
-                    by_granule.push((g, lanes));
-                }
-            }
-        }
+        coalesce_by_granule(
+            survivors.iter().map(|&(l, a, _)| (l, a)),
+            &geom,
+            &mut by_granule,
+            self.lane_pool,
+        );
         let now = self.now;
         for (g, lanes) in by_granule.drain(..) {
             let part = geom.partition_of_granule(g) as usize;
@@ -486,25 +472,26 @@ impl CoreCtx<'_> {
         let mut by_granule = std::mem::take(self.group_buf);
         {
             let slot = self.cores[c].warps[w].as_mut().expect("warp");
-            for &l in group {
-                let Some(Op::Load(a)) = slot.warp.threads[l as usize].staged_op else {
-                    return Err(SimError::ProtocolViolation {
-                        what: "staged op is not a plain load at issue",
-                        token: slot.gwid.0 as u64,
-                        cycle: self.now.raw(),
-                    });
-                };
-                slot.warp.threads[l as usize].consume_op();
-                let g = geom.granule_of(a);
-                match by_granule.iter_mut().find(|(gg, _)| *gg == g) {
-                    Some((_, lanes)) => lanes.push((l, a)),
-                    None => {
-                        let mut lanes = self.lane_pool.pop().unwrap_or_default();
-                        lanes.push((l, a));
-                        by_granule.push((g, lanes));
-                    }
-                }
+            let threads = &mut slot.warp.threads;
+            if group
+                .iter()
+                .any(|&l| !matches!(threads[l as usize].staged_op, Some(Op::Load(_))))
+            {
+                return Err(SimError::ProtocolViolation {
+                    what: "staged op is not a plain load at issue",
+                    token: slot.gwid.0 as u64,
+                    cycle: self.now.raw(),
+                });
             }
+            let loads = group.iter().map(|&l| {
+                let t = &mut threads[l as usize];
+                let Some(Op::Load(a)) = t.staged_op else {
+                    unreachable!("checked above")
+                };
+                t.consume_op();
+                (l, a)
+            });
+            coalesce_by_granule(loads, &geom, &mut by_granule, self.lane_pool);
         }
         let now = self.now;
         for (g, mut lanes) in by_granule.drain(..) {
@@ -966,10 +953,10 @@ impl CoreCtx<'_> {
         let mut aborted = 0u32;
         let gwid = {
             // EL validation reads committed memory mid-issue; EL runs are
-            // always serial (see `Engine::can_shard`), so the sink is
+            // always one shard (see `Engine::shard_count`), so the sink is
             // direct by construction.
             let FxSink::Direct { mem, .. } = &self.sink else {
-                unreachable!("WarpTM-EL runs serial with a direct sink")
+                unreachable!("WarpTM-EL runs on one shard with a direct sink")
             };
             let slot = self.cores[c].warps[w].as_mut().expect("warp alive");
             for &l in lanes {
@@ -1355,7 +1342,7 @@ impl CoreCtx<'_> {
         let mut failed_mask = 0u64;
         {
             let FxSink::Direct { mem, .. } = &self.sink else {
-                unreachable!("WarpTM-EL runs serial with a direct sink")
+                unreachable!("WarpTM-EL runs on one shard with a direct sink")
             };
             let slot = self.cores[c].warps[w].as_mut().expect("warp");
             for l in 0..slot.warp.threads.len() {

@@ -13,8 +13,8 @@
 //! (`self.cores`, `self.stats`, `self.wd`, ...), so the 2000-odd lines of
 //! protocol code in `core_side.rs` / `partition_side.rs` moved onto them
 //! nearly verbatim — the A/B and golden-trace suites pin that the move is
-//! behaviour-preserving. A serial cycle builds one context spanning the
-//! whole machine with *direct* effect sinks; a sharded cycle builds one
+//! behaviour-preserving. A lead-thread phase builds one context spanning
+//! the whole machine with *direct* effect sinks; a parallel phase builds one
 //! context per shard with *deferred* sinks whose buffered effects the lead
 //! thread replays in canonical (shard, program) order.
 //!
@@ -29,6 +29,7 @@ use super::{CommitCtx, CoreState, EngineStats, Partition, Pending, UpMsg};
 use crate::config::{GpuConfig, TmSystem};
 use getm::CommitEntry;
 use gpu_mem::{Addr, BankedMem, Crossbar, Geometry, MemImage};
+use gpu_simt::LaneList;
 use sim_core::history::HistoryRecorder;
 use sim_core::trace::Recorder;
 use sim_core::{Cycle, TokenSlab};
@@ -64,7 +65,7 @@ pub(crate) struct SliceView<'e, T> {
 unsafe impl<T: Send> Send for SliceView<'_, T> {}
 
 impl<'e, T> SliceView<'e, T> {
-    /// A view spanning the entire slice (the serial-execution case).
+    /// A view spanning the entire slice (lead-thread phases).
     pub fn whole(s: &'e mut [T]) -> Self {
         let hi = s.len();
         SliceView {
@@ -262,7 +263,7 @@ pub(crate) enum TokenPatch {
 /// contiguous ascending core ranges, so the concatenated buffers replay in
 /// exactly the order serial execution would have performed the effects —
 /// which makes slab token minting, crossbar sequencing, and store ordering
-/// bit-identical to the serial engine.
+/// bit-identical to a one-shard run.
 pub(crate) enum FxOp {
     /// `pending.insert(..)`.
     InsertPending(Pending),
@@ -293,7 +294,7 @@ pub(crate) enum FxOp {
 }
 
 /// Where core-side engine-global effects go: straight into the engine
-/// (serial / lead-only phases) or into a shard's replay buffer.
+/// (lead-thread phases) or into a shard's replay buffer.
 pub(crate) enum FxSink<'e> {
     Direct {
         pending: &'e mut TokenSlab<Pending>,
@@ -359,8 +360,8 @@ pub(crate) struct CoreCtx<'e> {
     pub sink: FxSink<'e>,
     pub ready_buf: &'e mut Vec<bool>,
     pub survivors_buf: &'e mut Vec<(u32, Addr, u64)>,
-    pub group_buf: &'e mut Vec<(gpu_mem::Granule, Vec<(u32, Addr)>)>,
-    pub lane_pool: &'e mut Vec<Vec<(u32, Addr)>>,
+    pub group_buf: &'e mut Vec<(gpu_mem::Granule, LaneList)>,
+    pub lane_pool: &'e mut Vec<LaneList>,
     pub value_pool: &'e mut Vec<Vec<u64>>,
     pub entry_pool: &'e mut Vec<Vec<CommitEntry>>,
     pub attempt_pool: &'e mut Vec<Vec<u32>>,
@@ -517,7 +518,7 @@ impl PartCtx<'_> {
 
 impl Engine {
     /// A core-side context spanning the whole machine with direct sinks —
-    /// the serial execution path, and phases 2/4 of a sharded cycle.
+    /// every phase that runs on the lead thread.
     pub(crate) fn core_ctx(&mut self) -> CoreCtx<'_> {
         CoreCtx {
             cfg: &self.cfg,
@@ -556,7 +557,7 @@ impl Engine {
     }
 
     /// A partition-side context spanning the whole machine with a direct
-    /// down-crossbar sink (serial phase 1).
+    /// down-crossbar sink (phase 1 on the lead thread).
     pub(crate) fn part_ctx(&mut self) -> PartCtx<'_> {
         PartCtx {
             cfg: &self.cfg,

@@ -17,6 +17,9 @@
 //!    greedy-then-oldest scheduler;
 //! 4. per-warp transactional exec/wait statistics are sampled.
 //!
+//! The cycle loop itself lives in `sharded.rs`; a serial run is its
+//! one-shard case.
+//!
 //! Everything is deterministic for a given `GpuConfig::seed`.
 
 mod core_side;
@@ -34,9 +37,10 @@ use fglock::{AtomicOp, AtomicUnit};
 use getm::vu::GetmConfig;
 use getm::{AccessRequest, CommitEntry, CommitUnit, ValidationUnit};
 use gpu_mem::{
-    Addr, BankedMem, Crossbar, Delivery, Geometry, Granule, LineAddr, MemImage, SetAssocCache,
+    Addr, BankedMem, Crossbar, Delivery, DramChannel, Geometry, Granule, LineAddr, MemImage,
+    SetAssocCache,
 };
-use gpu_simt::{Backoff, GtoScheduler, Warp};
+use gpu_simt::{Backoff, GtoScheduler, LaneList, Warp};
 use sim_core::history::HistoryRecorder;
 use sim_core::trace::{Recorder, SimEvent, Stamp, WatchdogStage};
 use sim_core::{CancelToken, Cycle, DetRng, LivelockReport, SimError, TokenSlab};
@@ -227,14 +231,9 @@ pub(crate) struct Partition {
     /// Per-LLC-sub-bank busy horizon ([`crate::config::MemModel::Hbm`]
     /// only; a single entry that never advances under `FermiFixed`).
     pub bank_free: Vec<Cycle>,
-    /// Per-HBM-pseudo-channel busy horizon (`Hbm` only).
-    pub chan_free: Vec<Cycle>,
-    /// Completion times of DRAM requests still outstanding (`Hbm` only;
-    /// bounded by `dram.queue_capacity`, modelling queue back-pressure
-    /// as admission delay).
-    pub hbm_inflight: Vec<Cycle>,
-    /// DRAM requests that had to wait for an outstanding-queue slot.
-    pub hbm_queue_stalls: u64,
+    /// The partition's DRAM channel timing (`Hbm` only; the fixed Fermi
+    /// model charges `dram.latency` without it).
+    pub dram: DramChannel,
 }
 
 /// Aggregated engine statistics (folded into [`Metrics`] at the end).
@@ -321,13 +320,13 @@ pub struct Engine {
     /// Cooperative cancellation flag, polled every few thousand cycles.
     pub(crate) cancel: Option<CancelToken>,
     /// Host-thread execution mode (serial by default). Changing it never
-    /// changes results — the sharded loop is bit-identical to serial.
+    /// changes results — the shard loop is bit-identical at any width.
     pub(crate) exec: ExecMode,
     /// Highest warp timestamp written since the last rollover, maintained
-    /// by `finish_round`. The sharded loop uses it to prove a cycle cannot
+    /// by `finish_round`. The shard loop uses it to prove a cycle cannot
     /// reach `ts_limit` before running issue in parallel (rollover arming
     /// must be observed by all later cores within the same cycle, which
-    /// only the serial path reproduces).
+    /// only issue on the lead thread reproduces).
     pub(crate) ts_high_water: u64,
     /// When set (the default), cycles in which provably nothing can happen
     /// — every warp asleep or unissuable, both crossbars quiet — are elided
@@ -351,10 +350,10 @@ pub struct Engine {
     /// Intra-warp conflict survivor scratch (`issue_tx_access`).
     pub(crate) survivors_buf: Vec<(u32, Addr, u64)>,
     /// Granule-coalescing scratch: groups of `(lane, addr)` per granule.
-    pub(crate) group_buf: Vec<(Granule, Vec<(u32, Addr)>)>,
+    pub(crate) group_buf: Vec<(Granule, LaneList)>,
     /// Recycled lane-list vectors (flow into `Pending::Access`, return
     /// here when the reply retires the context).
-    pub(crate) lane_pool: Vec<Vec<(u32, Addr)>>,
+    pub(crate) lane_pool: Vec<LaneList>,
     /// Recycled load-value vectors (flow into `DownMsg` replies, return
     /// here when the core consumes them).
     pub(crate) value_pool: Vec<Vec<u64>>,
@@ -452,9 +451,7 @@ impl Engine {
                     cu_free: Cycle::ZERO,
                     dram_accesses: 0,
                     bank_free: vec![Cycle::ZERO; cfg.llc_banks as usize],
-                    chan_free: vec![Cycle::ZERO; cfg.dram.pseudo_channels as usize],
-                    hbm_inflight: Vec::new(),
-                    hbm_queue_stalls: 0,
+                    dram: DramChannel::new(cfg.dram),
                 }
             })
             .collect();
@@ -498,10 +495,10 @@ impl Engine {
     }
 
     /// Selects the host-thread execution mode. Results are bit-identical
-    /// across modes; sharding is a wall-clock optimization only. Modes
+    /// across modes; sharding is a wall-clock optimization only. Runs
     /// that require serial observation order (event tracing, history
     /// recording, WarpTM-EL's partition-order-sensitive value commits)
-    /// fall back to the serial loop automatically.
+    /// run on one shard automatically.
     pub fn set_exec(&mut self, exec: ExecMode) {
         self.exec = exec;
     }
@@ -515,7 +512,7 @@ impl Engine {
 
     /// Enables host-side wall-time profiling of sharded runs (see
     /// [`crate::metrics::HostProfile`]). Purely observational: simulated
-    /// results are bit-identical with it on or off, and serial runs
+    /// results are bit-identical with it on or off, and one-shard runs
     /// ignore it (there are no barriers to attribute).
     pub fn set_host_profiling(&mut self, on: bool) {
         self.host_profiling = on;
@@ -582,51 +579,21 @@ impl Engine {
     /// routed to any outstanding request (an engine/protocol-model bug, not
     /// modelled behaviour).
     pub fn run(&mut self) -> Result<Metrics, SimError> {
-        let threads = self.exec.threads();
-        if threads > 1 && self.can_shard() {
-            return self.run_sharded(threads);
-        }
-        self.run_serial()
+        self.run_shards(self.shard_count())
     }
 
-    /// Whether this run is eligible for sharded execution. Event tracing
-    /// and history recording observe effects in serial program order
-    /// (their interleaved streams cannot be reconstructed from buffered
-    /// shard output), and WarpTM-EL commits values from the partition
-    /// side; all three keep the serial loop — which is bit-identical
-    /// anyway, so the fallback is invisible.
-    pub(crate) fn can_shard(&self) -> bool {
-        !self.rec.is_on() && !self.hist.is_on() && self.system != TmSystem::WarpTmEL
-    }
-
-    /// The single-threaded reference loop.
-    fn run_serial(&mut self) -> Result<Metrics, SimError> {
-        while !self.drained() {
-            let now = self.now.raw();
-            if now >= self.cfg.max_cycles {
-                return Err(SimError::CycleLimitExceeded {
-                    limit: self.cfg.max_cycles,
-                });
-            }
-            if now >= self.wd.next_check {
-                self.watchdog_tick()?;
-            }
-            // Poll the cancel flag on a coarse cycle mask: one atomic load
-            // per 8192 cycles keeps the cost unmeasurable.
-            if now & 0x1FFF == 0 {
-                if let Some(tok) = &self.cancel {
-                    if tok.is_cancelled() {
-                        return Err(SimError::Interrupted { cycle: now });
-                    }
-                }
-            }
-            if self.try_idle_skip() {
-                continue;
-            }
-            self.step()?;
+    /// How many shards this run splits into: the mode's thread count, or
+    /// one when an observer needs serial program order. Event tracing and
+    /// history recording interleave their streams in that order (it cannot
+    /// be reconstructed from buffered shard output), and WarpTM-EL commits
+    /// values from the partition side; all three run on one shard, which
+    /// is bit-identical anyway.
+    pub(crate) fn shard_count(&self) -> usize {
+        if self.rec.is_on() || self.hist.is_on() || self.system == TmSystem::WarpTmEL {
+            1
+        } else {
+            self.exec.threads()
         }
-        self.wd.finalize(self.stats.commits);
-        Ok(self.collect_metrics())
     }
 
     /// Attempts to elide a run of cycles in which provably nothing happens.
@@ -883,48 +850,6 @@ impl Engine {
         }
     }
 
-    /// Advances the simulation by one cycle (the serial path: one
-    /// whole-machine context per side, direct effect sinks).
-    pub(crate) fn step(&mut self) -> Result<(), SimError> {
-        if self.rollover_pending {
-            self.try_complete_rollover();
-        }
-        let now = self.now;
-        // 1. Up deliveries -> partitions. The drain buffers are owned by
-        // the engine and reused every cycle; they are taken out for the
-        // duration of the dispatch because handlers borrow the engine
-        // state mutably (a handler can inject new packets, never consume
-        // arrivals).
-        let mut up_buf = std::mem::take(&mut self.up_buf);
-        self.up.drain_due(now, &mut up_buf);
-        {
-            let mut ctx = self.part_ctx();
-            for d in up_buf.drain(..) {
-                ctx.handle_up(d.dst, d.payload)?;
-            }
-        }
-        self.up_buf = up_buf;
-        // 2. Down deliveries -> cores, then 3. issue — both core-side.
-        let mut down_buf = std::mem::take(&mut self.down_buf);
-        self.down.drain_due(now, &mut down_buf);
-        let out = {
-            let mut ctx = self.core_ctx();
-            for d in down_buf.drain(..) {
-                ctx.handle_down(d.dst, d.payload)?;
-            }
-            for c in 0..ctx.n_cores() {
-                ctx.issue_core(c)?;
-            }
-            ctx.out()
-        };
-        self.apply_ctx_out(out);
-        self.down_buf = down_buf;
-        // 4. Stats sampling.
-        self.sample_stats(1);
-        self.now += 1;
-        Ok(())
-    }
-
     /// Completes a pending timestamp rollover once the machine quiesces:
     /// no open transactional regions, no in-flight messages. Models the
     /// paper's stall-the-world protocol (Sec. V-B1): a stall message
@@ -1045,7 +970,7 @@ impl Engine {
     }
 
     /// Accrues per-warp exec/wait statistics and gauge probes for the
-    /// `span` cycles starting at `now`. `step` calls this with `span == 1`;
+    /// `span` cycles starting at `now`. Each cycle calls this with `span == 1`;
     /// idle skip-ahead calls it once for a whole elided span, which is
     /// equivalent *because* the skip conditions guarantee every term below
     /// is constant across the span (no warp wakes, issues, or retires, and
@@ -1184,7 +1109,7 @@ impl Engine {
             llcm += p.llc.misses();
             m.llc_sector_misses += p.llc.sector_misses();
             m.dram_accesses += p.dram_accesses;
-            m.dram_queue_stalls += p.hbm_queue_stalls;
+            m.dram_queue_stalls += p.dram.queue_stalls();
             part_accesses.push(p.llc.hits() + p.llc.misses() + p.llc.sector_misses());
         }
         // Sector misses waited on a downstream fill, so they count

@@ -23,17 +23,6 @@ use sim_core::{Cycle, SimError};
 /// occupancy; contention, not raw latency, is the modelled effect).
 const LLC_BANK_OCCUPANCY: u64 = 2;
 
-/// Index of the smallest element (first on ties, deterministic).
-fn min_index(v: &[Cycle]) -> usize {
-    let mut best = 0;
-    for (i, &c) in v.iter().enumerate().skip(1) {
-        if c < v[best] {
-            best = i;
-        }
-    }
-    best
-}
-
 impl PartCtx<'_> {
     /// Handles one up-crossbar delivery at partition `p`.
     pub(crate) fn handle_up(&mut self, p: usize, msg: UpMsg) -> Result<(), SimError> {
@@ -99,12 +88,12 @@ impl PartCtx<'_> {
                         .llc_bank
                         .sector_bytes
                         .unwrap_or(self.cfg.line_bytes);
-                    extra += self.hbm_dram_cycles(p, bytes);
+                    extra += self.parts[p].dram.request(self.now, bytes) - self.now;
                 }
                 if let CacheResult::Miss { writeback: Some(_) } = res {
                     // The victim writeback occupies a pseudo-channel but
                     // is off the reply's critical path.
-                    self.hbm_occupy(p, self.cfg.line_bytes);
+                    self.parts[p].dram.occupy(self.now, self.cfg.line_bytes);
                 }
                 extra
             }
@@ -135,48 +124,6 @@ impl PartCtx<'_> {
         start - self.now
     }
 
-    /// Charges a `bytes`-byte DRAM access to partition `p`'s HBM stack,
-    /// returning cycles until the data is back: admission delay if the
-    /// bounded outstanding queue is full, service on the least-loaded
-    /// pseudo-channel, then the access latency.
-    fn hbm_dram_cycles(&mut self, p: usize, bytes: u64) -> u64 {
-        let part = &mut self.parts[p];
-        let now = self.now;
-        part.hbm_inflight.retain(|&c| c > now);
-        let mut admit = now;
-        if part.hbm_inflight.len() >= self.cfg.dram.queue_capacity {
-            // Queue full: the request waits until the earliest in-flight
-            // access completes and frees a slot.
-            let (i, &earliest) = part
-                .hbm_inflight
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, c)| **c)
-                .expect("full queue is nonempty");
-            part.hbm_inflight.swap_remove(i);
-            admit = earliest;
-            part.hbm_queue_stalls += 1;
-        }
-        let service = bytes.max(1).div_ceil(self.cfg.dram.bytes_per_cycle);
-        let pc = min_index(&part.chan_free);
-        let start = part.chan_free[pc].max(admit);
-        part.chan_free[pc] = start + service;
-        let done = part.chan_free[pc] + self.cfg.dram.latency;
-        part.hbm_inflight.push(done);
-        done - now
-    }
-
-    /// Occupies a pseudo-channel with `bytes` of off-critical-path
-    /// traffic (victim writebacks): later requests queue behind it, but
-    /// nothing waits on its completion.
-    fn hbm_occupy(&mut self, p: usize, bytes: u64) {
-        let part = &mut self.parts[p];
-        let service = bytes.max(1).div_ceil(self.cfg.dram.bytes_per_cycle);
-        let pc = min_index(&part.chan_free);
-        let start = part.chan_free[pc].max(self.now);
-        part.chan_free[pc] = start + service;
-    }
-
     /// Reserves the validation unit starting no earlier than `now`,
     /// consuming `cycles`, and returns the completion time.
     fn vu_slot(&mut self, p: usize, cycles: u64) -> Cycle {
@@ -203,7 +150,7 @@ impl PartCtx<'_> {
     /// leak the capture.
     fn capture_values(&mut self, token: u64) -> Result<(usize, Vec<u64>), SimError> {
         if self.hist.is_on() {
-            // History recording runs serial, so the pending tap is the
+            // History recording runs on one shard, so the pending tap is the
             // mutable one and the version capture can write into the
             // context.
             return match self.pending.get_mut(token) {
@@ -471,7 +418,9 @@ impl PartCtx<'_> {
                     MemModel::FermiFixed => self.cfg.dram.latency,
                     // Validation re-reads whole logged lines, so the
                     // refill is line-sized regardless of sectoring.
-                    MemModel::Hbm => self.hbm_dram_cycles(p, self.cfg.line_bytes),
+                    MemModel::Hbm => {
+                        self.parts[p].dram.request(self.now, self.cfg.line_bytes) - self.now
+                    }
                 };
             }
         }
@@ -513,9 +462,9 @@ impl PartCtx<'_> {
         // lane id, and the in-flight commit context names the warp, so the
         // history can chain each applied word to its transaction attempt.
         // The core-state lookup only exists while recording (which forces
-        // the serial loop, where the context carries the core slice).
+        // a one-shard run, where the context carries the core slice).
         let gwid = if self.hist.is_on() {
-            let cores = self.cores.expect("history recording runs serial");
+            let cores = self.cores.expect("history recording runs on one shard");
             self.commits_in_flight
                 .get(token)
                 .and_then(|ctx| cores[ctx.core].warps[ctx.warp].as_ref())
@@ -632,9 +581,9 @@ impl PartCtx<'_> {
         if self.hist.is_on() {
             // An atomic is a committed singleton transaction: it observes
             // `old` and (for mutating ops) installs a new version in the
-            // same indivisible step. (Recording forces the serial loop, so
+            // same indivisible step. (Recording forces one shard, so
             // the core slice is present.)
-            let cores = self.cores.expect("history recording runs serial");
+            let cores = self.cores.expect("history recording runs on one shard");
             let gwid = cores[core].warps[warp]
                 .as_ref()
                 .map(|s| s.gwid.0)

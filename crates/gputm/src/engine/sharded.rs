@@ -1,4 +1,4 @@
-//! The sharded (multi-host-thread) execution loop.
+//! The lockstep execution loop behind [`Engine::run`].
 //!
 //! Cores and memory partitions are split into contiguous index ranges —
 //! shards — that advance in cycle lockstep on a pool of host threads. All
@@ -6,10 +6,17 @@
 //! thread at the phase barrier in *canonical order* (ascending global
 //! delivery index for partition replies, ascending core order for issue
 //! effects), which makes every observable — metrics, traces, final memory,
-//! watchdog decisions — bit-identical to the serial loop at any thread
-//! count. `tests/determinism.rs` pins that equality.
+//! watchdog decisions — bit-identical at any thread count.
+//! `tests/determinism.rs` pins that equality.
 //!
-//! A sharded cycle has four phases mirroring the serial `step`:
+//! Every run goes through this loop. A run has one shard when the mode is
+//! [`crate::ExecMode::Serial`] or when an observer needs serial program
+//! order (event tracing, history recording, WarpTM-EL; see
+//! [`Engine::shard_count`]). One shard spawns no worker thread, skips the
+//! scratch-pool top-up, and takes the lead-thread branch of every phase:
+//! that *is* the serial reference execution.
+//!
+//! A cycle has four phases:
 //!
 //! 1. **Partition phase** (parallel by partition): up-crossbar deliveries
 //!    are drained once on the lead, tagged with their global drain index,
@@ -17,18 +24,20 @@
 //!    mutate only their own partitions and memory banks; replies are
 //!    buffered as [`DownSend`]s and injected at the barrier sorted by
 //!    `(delivery index, send ordinal)` — the exact serial sequence. Cycles
-//!    with only a few deliveries skip the fan-out and run this phase
-//!    serially (both paths are exact, so adaptivity is free).
-//! 2. **Reply phase** (serial): down-crossbar deliveries run on the lead
+//!    with only a few deliveries, and one-shard runs, skip the fan-out and
+//!    run this phase on the lead (both paths are exact, so adaptivity is
+//!    free).
+//! 2. **Reply phase** (lead): down-crossbar deliveries run on the lead
 //!    with a direct whole-machine context. Reply handlers consume slab
 //!    tokens and recycle buffers — global mutations that are cheap (a few
 //!    deliveries per cycle) but order-sensitive.
 //! 3. **Issue phase** (parallel by core): each shard issues its cores with
 //!    a *deferred* effect sink; slab inserts, up-sends, and committed-memory
 //!    stores replay on the lead in ascending core order, reproducing the
-//!    serial token and injection sequence. Near a timestamp rollover this
-//!    phase drops to the lead (see [`Engine::ts_guard_forces_serial`]).
-//! 4. **Sampling** (serial): per-warp statistics accrue on the lead.
+//!    serial token and injection sequence. One-shard runs issue on the lead
+//!    with a direct sink, and near a timestamp rollover every run does (see
+//!    [`Engine::ts_guard_forces_serial`]).
+//! 4. **Sampling** (lead): per-warp statistics accrue on the lead.
 //!
 //! Per-shard statistics accumulate in shard-local [`EngineStats`] blocks
 //! and fold into the engine's block before every observation point
@@ -45,6 +54,7 @@ use super::{Engine, EngineStats, UpMsg};
 use crate::metrics::Metrics;
 use getm::CommitEntry;
 use gpu_mem::{Addr, Delivery};
+use gpu_simt::LaneList;
 use sim_core::history::HistoryRecorder;
 use sim_core::trace::Recorder;
 use sim_core::SimError;
@@ -134,8 +144,8 @@ struct ShardState {
     // Context scratch (mirrors the engine-level reservoir fields).
     ready_buf: Vec<bool>,
     survivors_buf: Vec<(u32, Addr, u64)>,
-    group_buf: Vec<(gpu_mem::Granule, Vec<(u32, Addr)>)>,
-    lane_pool: Vec<Vec<(u32, Addr)>>,
+    group_buf: Vec<(gpu_mem::Granule, LaneList)>,
+    lane_pool: Vec<LaneList>,
     value_pool: Vec<Vec<u64>>,
     entry_pool: Vec<Vec<CommitEntry>>,
     attempt_pool: Vec<Vec<u32>>,
@@ -170,16 +180,16 @@ fn replenish<T>(reservoir: &mut Vec<T>, pool: &mut Vec<T>, target: usize) {
 }
 
 impl Engine {
-    /// The multi-threaded lockstep loop. Mirrors `run_serial` exactly —
-    /// same watchdog cadence, cancel-poll mask, idle skip-ahead, and cycle
-    /// budget — with `step_sharded` in place of `step`.
-    pub(crate) fn run_sharded(&mut self, threads: usize) -> Result<Metrics, SimError> {
-        debug_assert!(threads > 1 && self.can_shard());
+    /// Runs the lockstep loop on `threads` shards to completion: the
+    /// watchdog cadence, cancel-poll mask, idle skip-ahead, and cycle
+    /// budget are the same at every shard count.
+    pub(crate) fn run_shards(&mut self, threads: usize) -> Result<Metrics, SimError> {
         let plan = ShardPlan::new(threads, self.cores.len(), self.parts.len());
         let pool = WorkerPool::new(threads);
         let mut shards: Vec<ShardState> = (0..threads).map(|_| ShardState::default()).collect();
         let mut merge_buf: Vec<DownSend> = Vec::new();
-        let mut prof = HostProfiler::new(threads, self.host_profiling);
+        // One shard has no barriers to attribute: the profiler stays inert.
+        let mut prof = HostProfiler::new(threads, self.host_profiling && threads > 1);
         while !self.drained() {
             let now = self.now.raw();
             if now >= self.cfg.max_cycles {
@@ -189,10 +199,12 @@ impl Engine {
             }
             if now >= self.wd.next_check {
                 // The watchdog reads commit/abort totals: fold the shard
-                // blocks first so it sees exactly what serial would.
+                // blocks first so it sees every shard's counts.
                 self.fold_shard_stats(&mut shards);
                 self.watchdog_tick()?;
             }
+            // Poll the cancel flag on a coarse cycle mask: one atomic load
+            // per 8192 cycles keeps the cost unmeasurable.
             if now & 0x1FFF == 0 {
                 if let Some(tok) = &self.cancel {
                     if tok.is_cancelled() {
@@ -203,7 +215,7 @@ impl Engine {
             if self.try_idle_skip() {
                 continue;
             }
-            self.step_sharded(&pool, &plan, &mut shards, &mut merge_buf, &mut prof)?;
+            self.step_shards(&pool, &plan, &mut shards, &mut merge_buf, &mut prof)?;
         }
         self.fold_shard_stats(&mut shards);
         self.wd.finalize(self.stats.commits);
@@ -227,8 +239,8 @@ impl Engine {
         self.rollover_pending || self.ts_high_water + TS_GUARD_MARGIN >= self.cfg.ts_limit
     }
 
-    /// One sharded cycle. See the module docs for the phase structure.
-    fn step_sharded(
+    /// One cycle. See the module docs for the phase structure.
+    fn step_shards(
         &mut self,
         pool: &WorkerPool,
         plan: &ShardPlan,
@@ -237,12 +249,13 @@ impl Engine {
         prof: &mut HostProfiler,
     ) -> Result<(), SimError> {
         let prof_on = prof.is_on();
+        let parallel = shards.len() > 1;
         if self.rollover_pending {
             self.try_complete_rollover();
         }
         let now = self.now;
         for (shard, &(plo, phi)) in shards.iter_mut().zip(&plan.part_bounds) {
-            if plo == phi && shard.lane_pool.is_empty() {
+            if !parallel || (plo == phi && shard.lane_pool.is_empty()) {
                 continue;
             }
             replenish(&mut self.lane_pool, &mut shard.lane_pool, POOL_TARGET_LANES);
@@ -263,10 +276,13 @@ impl Engine {
             );
         }
 
-        // ---- Phase 1: up deliveries -> partitions. ----
+        // ---- Phase 1: up deliveries -> partitions. The drain buffers are
+        // owned by the engine and reused every cycle; they are taken out
+        // while handlers borrow the engine state mutably (a handler can
+        // inject new packets, never consume arrivals). ----
         let mut up_buf = std::mem::take(&mut self.up_buf);
         self.up.drain_due(now, &mut up_buf);
-        if up_buf.len() >= UP_PAR_THRESHOLD {
+        if parallel && up_buf.len() >= UP_PAR_THRESHOLD {
             for (i, d) in up_buf.drain(..).enumerate() {
                 let s = plan.shard_of_part[d.dst];
                 shards[s].up_deliv.push((i as u32, d));
@@ -365,9 +381,9 @@ impl Engine {
             self.up_buf = up_buf;
         }
 
-        // ---- Phase 2: down deliveries -> cores (serial), and phase 3's
-        // serial fallback when the rollover guard demands it. ----
-        let serial_issue = self.ts_guard_forces_serial();
+        // ---- Phase 2: down deliveries -> cores (lead), and phase 3 on the
+        // lead for one shard or when the rollover guard demands it. ----
+        let lead_issue = !parallel || self.ts_guard_forces_serial();
         let mut down_buf = std::mem::take(&mut self.down_buf);
         self.down.drain_due(now, &mut down_buf);
         let out = {
@@ -375,7 +391,7 @@ impl Engine {
             for d in down_buf.drain(..) {
                 ctx.handle_down(d.dst, d.payload)?;
             }
-            if serial_issue {
+            if lead_issue {
                 for c in 0..ctx.n_cores() {
                     ctx.issue_core(c)?;
                 }
@@ -386,7 +402,7 @@ impl Engine {
         self.down_buf = down_buf;
 
         // ---- Phase 3: issue (parallel by core). ----
-        if !serial_issue {
+        if !lead_issue {
             let t_window;
             {
                 let core_views = SliceView::split(&mut self.cores, &plan.core_bounds);

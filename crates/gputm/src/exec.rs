@@ -1,11 +1,12 @@
 //! Execution-mode selection for the engine.
 //!
 //! The simulated machine is always the same machine; [`ExecMode`] only
-//! chooses how many *host* threads advance it. `Serial` runs the classic
-//! single-threaded cycle loop. `Sharded { threads }` carves the cores and
-//! memory partitions into contiguous shards that execute each cycle's
-//! phases in parallel, exchanging all cross-shard effects at per-cycle
-//! barriers in canonical order — so metrics, traces, and verification
+//! chooses how many *host* threads advance it. There is one cycle loop:
+//! `Serial` runs it on one shard, on the calling thread.
+//! `Sharded { threads }` carves the cores and memory partitions into
+//! contiguous shards that execute each cycle's phases in parallel,
+//! exchanging all cross-shard effects at per-cycle barriers in canonical
+//! order — so metrics, traces, and verification
 //! verdicts are bit-identical to `Serial` regardless of the thread count.
 //! Because results never differ, the mode is excluded from sweep cache
 //! digests: a cell computed serially satisfies a sharded request and vice
@@ -14,7 +15,7 @@
 /// How many host threads advance the simulation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ExecMode {
-    /// The single-threaded reference cycle loop.
+    /// One shard on the calling thread: the reference execution.
     #[default]
     Serial,
     /// Cycle-lockstep sharded execution on `threads` host threads.

@@ -20,7 +20,7 @@ use workloads::Workload;
 /// Execution mode never changes results — `ExecMode::Sharded` produces
 /// bit-identical metrics, traces, and verdicts to `ExecMode::Serial` (modes
 /// that require serial observation order, like tracing and verification,
-/// transparently run the serial loop).
+/// transparently run on one shard).
 ///
 /// ```no_run
 /// use gputm::prelude::*;
@@ -54,7 +54,8 @@ pub struct RunOptions {
     /// Attribute host wall-time per shard (work vs. barrier-wait vs.
     /// merge) into [`Metrics::host_profile`] on sharded runs. Purely
     /// observational — simulated results are bit-identical either way —
-    /// and ignored by serial runs (nothing to attribute).
+    /// and ignored by runs on one shard (serial mode, or a trace, history
+    /// or WarpTM-EL run): there are no barriers to attribute.
     pub profile: bool,
 }
 
@@ -411,6 +412,26 @@ mod tests {
             .metrics
             .expect("metrics");
         assert!(unprofiled.host_profile.is_empty());
+        // One-shard runs have no barriers: a profiled serial run, and a
+        // profiled sharded run that a trace holds on one shard, both
+        // return the serial metrics and an empty profile.
+        let one_shard = [
+            RunOptions::default().exec(ExecMode::Serial).profile(true),
+            RunOptions::default()
+                .exec(ExecMode::Sharded { threads: 2 })
+                .trace(sim_core::Recorder::recording(1 << 16))
+                .profile(true),
+        ];
+        for opts in &one_shard {
+            let m = sim
+                .run_with(w.as_ref(), opts)
+                .expect("profiled one-shard run")
+                .metrics
+                .expect("metrics");
+            assert_eq!(m, serial);
+            assert!(m.host_profile.is_empty(), "one shard never profiles");
+            assert_eq!(m.host_profile.windows, 0);
+        }
     }
 
     #[test]

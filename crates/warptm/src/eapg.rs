@@ -5,13 +5,14 @@
 //! every SIMT core, which compares it against the footprints of its running
 //! transactions. A running transaction that has already observed (read) a
 //! broadcast granule is doomed and aborts early, saving the useless trip
-//! through validation; one that is *about to* access a broadcast granule
-//! pauses until the committing transaction finishes.
+//! through validation. EAPG's other half — pausing a transaction that is
+//! *about to* access a granule being committed — is not modelled: the
+//! engine simulates only the early aborts.
 //!
 //! Following the paper's evaluation setup, the mechanism is idealized: each
 //! broadcast is a 64-bit flit per core (charged as traffic by the engine),
-//! the conflict comparison itself is free, and reference-count updates are
-//! instantaneous. [`EapgFilter`] implements the core-side comparison.
+//! and the conflict comparison itself is free. [`EapgFilter`] implements
+//! the core-side comparison.
 
 use gpu_mem::{Geometry, Granule};
 use gpu_simt::log::TxLogs;
@@ -32,7 +33,6 @@ pub enum EapgDecision {
 pub struct EapgFilter {
     geom: Geometry,
     early_aborts: u64,
-    pauses: u64,
     broadcasts_seen: u64,
 }
 
@@ -42,7 +42,6 @@ impl EapgFilter {
         EapgFilter {
             geom,
             early_aborts: 0,
-            pauses: 0,
             broadcasts_seen: 0,
         }
     }
@@ -62,24 +61,9 @@ impl EapgFilter {
         }
     }
 
-    /// Whether an access a thread is *about to* make should pause because
-    /// its granule is currently being committed (pause-and-go).
-    pub fn should_pause(&mut self, target: Granule, committing: &[Granule]) -> bool {
-        let pause = committing.contains(&target);
-        if pause {
-            self.pauses += 1;
-        }
-        pause
-    }
-
     /// Early aborts triggered by this filter.
     pub fn early_aborts(&self) -> u64 {
         self.early_aborts
-    }
-
-    /// Pauses triggered by this filter.
-    pub fn pauses(&self) -> u64 {
-        self.pauses
     }
 
     /// Broadcast evaluations performed.
@@ -134,14 +118,6 @@ mod tests {
         );
         assert_eq!(f.early_aborts(), 0);
         assert_eq!(f.broadcasts_seen(), 1);
-    }
-
-    #[test]
-    fn pause_on_committing_granule() {
-        let mut f = EapgFilter::new(geom());
-        assert!(f.should_pause(Granule(3), &[Granule(3), Granule(4)]));
-        assert!(!f.should_pause(Granule(5), &[Granule(3)]));
-        assert_eq!(f.pauses(), 1);
     }
 
     #[test]

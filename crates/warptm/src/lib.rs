@@ -17,7 +17,8 @@
 //!   [`validator`] for its single commit round trip.
 //! * **EAPG** ([`eapg`]) — the idealized early-abort / pause-and-go
 //!   baseline: committing write sets are broadcast to all cores, which
-//!   abort (or pause) conflicting running transactions.
+//!   abort conflicting running transactions early. Only the early aborts
+//!   are modelled; no transaction ever pauses.
 //!
 //! As with the `getm` crate, these are pure partition/core-side state
 //! machines; the `gputm` engine supplies interconnect timing.
