@@ -49,6 +49,7 @@ fn main() -> std::process::ExitCode {
 
 #[cfg(unix)]
 mod unix {
+    use bench::cli::exit_usage;
     use bench::grid::{render_report, GridArgs, GRID_USAGE};
     use gputm::campaign::{coordinate, work, CampaignOptions};
     use std::path::PathBuf;
@@ -59,6 +60,22 @@ mod unix {
         coordinate: --socket PATH --spawn N --heartbeat-ms MS --lease-ms MS \
         --chunk N --max-deaths N + grid/common flags\n\
         work:       --socket PATH + grid/common flags";
+
+    /// The full usage text: subcommands, then the grid and common flags.
+    fn usage() -> String {
+        format!("{USAGE}\n\n{GRID_USAGE}\n\n{}", bench::cli::USAGE)
+    }
+
+    /// Parses the grid and common flags both subcommands share, exiting
+    /// through [`exit_usage`] on a bad one.
+    fn parse_grid(argv: Vec<String>) -> (gputm::sweep::ExperimentSpec, bench::cli::Args) {
+        let (grid, rest) = GridArgs::strip_from(argv).unwrap_or_else(|e| exit_usage(&e, &usage()));
+        let args = bench::cli::Args::parse_from(rest).unwrap_or_else(|e| exit_usage(&e, &usage()));
+        let spec = grid
+            .build_spec(&args)
+            .unwrap_or_else(|e| exit_usage(&e, &usage()));
+        (spec, args)
+    }
 
     /// Coordinator-only flags, stripped before the shared parsers run.
     struct CampaignArgs {
@@ -136,14 +153,13 @@ mod unix {
     pub fn main() -> ExitCode {
         let mut argv: Vec<String> = std::env::args().skip(1).collect();
         if argv.is_empty() {
-            eprintln!("{USAGE}");
-            return ExitCode::FAILURE;
+            exit_usage("missing subcommand", &usage());
         }
         let sub = argv.remove(0);
         let result = match sub.as_str() {
             "coordinate" => coordinate_main(argv),
             "work" => work_main(argv),
-            other => Err(format!("unknown subcommand {other:?}\n{USAGE}")),
+            other => exit_usage(&format!("unknown subcommand {other:?}"), &usage()),
         };
         result.unwrap_or_else(|e| {
             eprintln!("campaign: {e}");
@@ -152,12 +168,9 @@ mod unix {
     }
 
     fn coordinate_main(argv: Vec<String>) -> Result<ExitCode, String> {
-        let (campaign, shared) = strip_campaign_flags(argv)?;
-        let (grid, rest) =
-            GridArgs::strip_from(shared.clone()).map_err(|e| format!("{e}\n{GRID_USAGE}"))?;
-        let args = bench::cli::Args::parse_from(rest)
-            .map_err(|e| format!("{e}\n\n{}", bench::cli::USAGE))?;
-        let spec = grid.build_spec(&args)?;
+        let (campaign, shared) =
+            strip_campaign_flags(argv).unwrap_or_else(|e| exit_usage(&e, &usage()));
+        let (spec, args) = parse_grid(shared.clone());
         let opts = args.sweep_options();
 
         // Workers first: they retry the connect long enough to cover the
@@ -196,17 +209,15 @@ mod unix {
         let mut it = argv.into_iter();
         while let Some(arg) = it.next() {
             match arg.as_str() {
-                "--socket" => {
-                    socket = Some(PathBuf::from(it.next().ok_or("--socket needs a value")?));
-                }
+                "--socket" => match it.next() {
+                    Some(v) => socket = Some(PathBuf::from(v)),
+                    None => exit_usage("--socket needs a value", &usage()),
+                },
                 other => rest.push(other.to_string()),
             }
         }
         let socket = socket.unwrap_or_else(default_socket);
-        let (grid, rest) = GridArgs::strip_from(rest).map_err(|e| format!("{e}\n{GRID_USAGE}"))?;
-        let args = bench::cli::Args::parse_from(rest)
-            .map_err(|e| format!("{e}\n\n{}", bench::cli::USAGE))?;
-        let spec = grid.build_spec(&args)?;
+        let (spec, args) = parse_grid(rest);
         let opts = args.sweep_options();
         work(spec.cells(), &opts, &socket).map_err(|e| e.to_string())?;
         Ok(ExitCode::SUCCESS)

@@ -12,7 +12,11 @@ fn main() {
     let bench: Benchmark = args
         .positional
         .first()
-        .map(|name| name.parse().unwrap_or_else(|e| panic!("{e}")))
+        .map(|name| {
+            name.parse::<Benchmark>().unwrap_or_else(|e| {
+                cli::exit_usage(&e.to_string(), "usage: diag [BENCH] [common flags]")
+            })
+        })
         .unwrap_or(Benchmark::HtH);
     let harness = Harness::new(args.scale, args.sweep_options());
     let cfg = GpuConfig::fermi_15core();

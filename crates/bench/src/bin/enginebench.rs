@@ -1,25 +1,13 @@
 //! Wall-clock gate for the engine hot loop.
 //!
-//! Two families of rows:
-//!
-//! * **Loop-path rows** run a workload once with the engine walking every
-//!   cycle and once with idle skip-ahead, assert the metrics are
-//!   identical, and report the skip path's speedup.
-//! * **Shard rows** run a workload once on the serial loop and once
-//!   sharded across N host threads (`ExecMode::Sharded`), assert the
-//!   metrics are bit-identical, and report the parallel speedup.
-//!
-//! After the rows, each shard workload runs once more with the host
-//! profiler on and prints per-shard work / barrier-wait / merge
-//! attribution (observational — never part of the gate).
+//! Each row runs a workload once with the engine walking every cycle and
+//! once with idle skip-ahead, asserts the metrics are identical, and
+//! reports the skip path's speedup.
 //!
 //! The committed baseline (`crates/bench/BENCH_engine.json`) stores the
-//! speedups this machine class is expected to reach. Loop-path rows gate
-//! on *ratios* against the recorded baseline (stable across host
-//! speeds); shard rows carry an absolute `floor` and a `threads`
-//! requirement, and the gate skips them on hosts with fewer cores than
-//! the row shards across (the bit-identity assertion still runs
-//! everywhere — only the wall-clock expectation is hardware-gated):
+//! speedups this machine class is expected to reach. Rows gate on
+//! *ratios* against the recorded baseline, which are stable across host
+//! speeds:
 //!
 //! ```text
 //! cargo run -p bench --release --bin enginebench                  # print
@@ -27,15 +15,14 @@
 //! cargo run -p bench --release --bin enginebench -- --check FILE  # gate
 //! ```
 //!
-//! `--check` fails (exit 1) if any loop-path speedup drops below 80% of
-//! the baseline's, or any shard speedup (on a capable host) below its
-//! floor. The slack absorbs scheduler noise on shared CI hosts; a
+//! `--check` fails (exit 1) if any speedup drops below 80% of the
+//! baseline's. The slack absorbs scheduler noise on shared CI hosts; a
 //! genuine regression collapses the ratio far below any plausible jitter.
 
+use bench::cli::exit_usage;
 use bench::idle::IdleHeavy;
 use gputm::config::{GpuConfig, TmSystem};
 use gputm::engine::Engine;
-use gputm::exec::ExecMode;
 use gputm::metrics::Metrics;
 use std::time::Instant;
 use workloads::suite::{Benchmark, Scale};
@@ -43,19 +30,12 @@ use workloads::Workload;
 
 /// Best-of-N wall-clock for one engine setup, plus the metrics it
 /// produced.
-fn time_path(
-    w: &dyn Workload,
-    cfg: &GpuConfig,
-    exec: ExecMode,
-    idle_skip: bool,
-    reps: u32,
-) -> (Metrics, f64) {
+fn time_path(w: &dyn Workload, cfg: &GpuConfig, idle_skip: bool, reps: u32) -> (Metrics, f64) {
     let mut best = f64::INFINITY;
     let mut metrics = None;
     for _ in 0..reps {
         let mut e = Engine::new(w, TmSystem::Getm, cfg).expect("engine builds");
         e.set_idle_skip(idle_skip);
-        e.set_exec(exec);
         let t0 = Instant::now();
         let m = e.run().expect("run completes");
         best = best.min(t0.elapsed().as_secs_f64() * 1e3);
@@ -64,41 +44,16 @@ fn time_path(
     (metrics.expect("at least one rep"), best)
 }
 
-/// One profiled sharded run: prints where each host shard's wall-time
-/// went (work vs. barrier-wait vs. merge). This is the measurement
-/// ROADMAP item 1 asked for — if barrier fractions dominate as thread
-/// count grows, the per-cycle lockstep barrier is what caps scaling, not
-/// the partition work itself. Profiling is observational (metrics stay
-/// bit-identical), so the run is separate from the timed rows above: the
-/// committed baseline keeps gating on unprofiled wall-clock.
-fn profile_shard(name: &str, w: &dyn Workload, cfg: &GpuConfig, threads: usize) {
-    let mut e = Engine::new(w, TmSystem::Getm, cfg).expect("engine builds");
-    e.set_idle_skip(true);
-    e.set_exec(ExecMode::Sharded { threads });
-    e.set_host_profiling(true);
-    let m = e.run().expect("run completes");
-    println!(
-        "{name} host attribution ({} barrier windows):",
-        m.host_profile.windows
-    );
-    for line in m.host_profile.render().lines() {
-        println!("  {line}");
-    }
-}
-
 struct Row {
     name: &'static str,
     walk_ms: f64,
     skip_ms: f64,
     speedup: f64,
-    /// `Some((threads, floor))` marks a shard row: gate `speedup >=
-    /// floor`, but only on hosts with at least `threads` cores.
-    shard: Option<(usize, f64)>,
 }
 
 fn measure(name: &'static str, w: &dyn Workload, cfg: &GpuConfig) -> Row {
-    let (m_walk, walk_ms) = time_path(w, cfg, ExecMode::Serial, false, 3);
-    let (m_skip, skip_ms) = time_path(w, cfg, ExecMode::Serial, true, 3);
+    let (m_walk, walk_ms) = time_path(w, cfg, false, 3);
+    let (m_skip, skip_ms) = time_path(w, cfg, true, 3);
     assert_eq!(
         m_walk, m_skip,
         "{name}: loop paths disagree on metrics — refusing to benchmark a broken engine"
@@ -108,46 +63,18 @@ fn measure(name: &'static str, w: &dyn Workload, cfg: &GpuConfig) -> Row {
         walk_ms,
         skip_ms,
         speedup: walk_ms / skip_ms,
-        shard: None,
-    }
-}
-
-fn measure_shard(
-    name: &'static str,
-    w: &dyn Workload,
-    cfg: &GpuConfig,
-    threads: usize,
-    floor: f64,
-) -> Row {
-    let (m_serial, serial_ms) = time_path(w, cfg, ExecMode::Serial, true, 2);
-    let (m_shard, shard_ms) = time_path(w, cfg, ExecMode::Sharded { threads }, true, 2);
-    assert_eq!(
-        m_serial, m_shard,
-        "{name}: sharded metrics diverged from serial — determinism contract broken"
-    );
-    Row {
-        name,
-        walk_ms: serial_ms,
-        skip_ms: shard_ms,
-        speedup: serial_ms / shard_ms,
-        shard: Some((threads, floor)),
     }
 }
 
 fn render(rows: &[Row]) -> String {
     let mut s = String::from("{\n  \"rows\": [\n");
     for (i, r) in rows.iter().enumerate() {
-        let shard = match r.shard {
-            Some((threads, floor)) => format!(", \"threads\": {threads}, \"floor\": {floor:.3}"),
-            None => String::new(),
-        };
         s.push_str(&format!(
-            "    {{\"name\": \"{}\", \"walk_ms\": {:.3}, \"skip_ms\": {:.3}, \"speedup\": {:.3}{}}}{}\n",
+            "    {{\"name\": \"{}\", \"walk_ms\": {:.3}, \"skip_ms\": {:.3}, \"speedup\": {:.3}}}{}\n",
             r.name,
             r.walk_ms,
             r.skip_ms,
             r.speedup,
-            shard,
             if i + 1 < rows.len() { "," } else { "" }
         ));
     }
@@ -155,25 +82,26 @@ fn render(rows: &[Row]) -> String {
     s
 }
 
-/// Pulls `"<field>": <num>` out of the baseline row named `name`. The
+/// Pulls `"speedup": <num>` out of the baseline row named `name`. The
 /// baseline is written only by `--write` above, so a two-key scan is all
 /// the parsing it needs.
-fn baseline_field(json: &str, name: &str, field: &str) -> Option<f64> {
+fn baseline_speedup(json: &str, name: &str) -> Option<f64> {
     let row = json
         .split('{')
         .find(|s| s.contains(&format!("\"name\": \"{name}\"")))?;
-    let tail = row.split(&format!("\"{field}\":")).nth(1)?;
+    let tail = row.split("\"speedup\":").nth(1)?;
     tail.trim().split([',', '}']).next()?.trim().parse().ok()
 }
 
-fn host_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
-}
+const USAGE: &str = "usage: enginebench [--write FILE | --check FILE]";
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    let file = |flag: &str| {
+        args.get(1)
+            .cloned()
+            .unwrap_or_else(|| exit_usage(&format!("{flag} needs a FILE"), USAGE))
+    };
     let cfg = GpuConfig::tiny_test();
     let atm = Benchmark::Atm.build(Scale::Fast);
     let idle = IdleHeavy {
@@ -182,70 +110,30 @@ fn main() {
         spin: 5000,
     };
     let fz = workloads::fuzz::Fuzz::new(workloads::fuzz::FuzzShape::SingleCell, 32, 6, 7);
-    // The shard scaling rows: the paper's 56-core machine is the case
-    // sharding exists for (Fig. 17 cells dominate sweep wall clock); the
-    // tiny-machine row keeps the bit-identity assertion cheap enough to
-    // run anywhere. Floors are deliberately conservative — barrier costs
-    // on a 4-core tiny machine cap the win well below linear.
-    let big = GpuConfig::large_56core();
-    let atm_big = Benchmark::Atm.build(Scale::Fast);
     let rows = vec![
         measure("atm-contended", atm.as_ref(), &cfg),
         measure("fuzz-singlecell", &fz, &cfg),
         measure("idle-sparse", &idle, &cfg),
-        measure_shard("shard-atm-x4", atm.as_ref(), &cfg, 4, 1.2),
-        measure_shard("shard-large56-x8", atm_big.as_ref(), &big, 8, 3.0),
     ];
     for r in &rows {
-        let (a, b) = match r.shard {
-            Some(..) => ("serial", "shard"),
-            None => ("walk", "skip"),
-        };
         println!(
-            "{:<16} {a} {:>9.3} ms   {b} {:>9.3} ms   speedup {:>6.2}x",
+            "{:<16} walk {:>9.3} ms   skip {:>9.3} ms   speedup {:>6.2}x",
             r.name, r.walk_ms, r.skip_ms, r.speedup
         );
     }
-    profile_shard("shard-atm-x4", atm.as_ref(), &cfg, 4);
-    profile_shard("shard-large56-x8", atm_big.as_ref(), &big, 8);
 
     match args.first().map(String::as_str) {
         Some("--write") => {
-            let path = args.get(1).expect("--write FILE");
-            std::fs::write(path, render(&rows)).expect("write baseline");
+            let path = file("--write");
+            std::fs::write(&path, render(&rows)).expect("write baseline");
             println!("baseline written to {path}");
         }
         Some("--check") => {
-            let path = args.get(1).expect("--check FILE");
-            let json = std::fs::read_to_string(path).expect("read baseline");
-            let host = host_threads();
+            let path = file("--check");
+            let json = std::fs::read_to_string(&path).expect("read baseline");
             let mut failed = false;
             for r in &rows {
-                if let Some((threads, _)) = r.shard {
-                    // Shard rows gate on the absolute floor committed in
-                    // the baseline, and only on hosts that can actually
-                    // host the shards.
-                    let floor = baseline_field(&json, r.name, "floor")
-                        .unwrap_or_else(|| panic!("baseline {path} has no floor for {}", r.name));
-                    if host < threads {
-                        println!(
-                            "{:<16} floor {:>6.2}x   now {:>6.2}x   skipped ({host}-core host, needs {threads})",
-                            r.name, floor, r.speedup
-                        );
-                        continue;
-                    }
-                    let ok = r.speedup >= floor;
-                    println!(
-                        "{:<16} floor {:>6.2}x   now {:>6.2}x   {}",
-                        r.name,
-                        floor,
-                        r.speedup,
-                        if ok { "ok" } else { "REGRESSED" }
-                    );
-                    failed |= !ok;
-                    continue;
-                }
-                let base = baseline_field(&json, r.name, "speedup")
+                let base = baseline_speedup(&json, r.name)
                     .unwrap_or_else(|| panic!("baseline {path} has no row named {}", r.name));
                 let floor = base * 0.8;
                 let ok = r.speedup >= floor;
@@ -264,10 +152,7 @@ fn main() {
                 std::process::exit(1);
             }
         }
-        Some(other) => {
-            eprintln!("unknown flag {other}; use --write FILE or --check FILE");
-            std::process::exit(2);
-        }
+        Some(other) => exit_usage(&format!("unknown flag {other:?}"), USAGE),
         None => {}
     }
 }

@@ -26,11 +26,8 @@ fn main() -> ExitCode {
         }
         Err(e) => {
             let ids: Vec<&str> = bench::figures::ALL.iter().map(|f| f.id).collect();
-            eprintln!(
-                "fig: {e}\nusage: fig <{}|all> [common flags]",
-                ids.join("|")
-            );
-            ExitCode::FAILURE
+            let usage = format!("usage: fig <{}|all> [common flags]", ids.join("|"));
+            bench::cli::exit_usage(&e, &usage)
         }
     }
 }

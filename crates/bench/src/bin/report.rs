@@ -8,50 +8,34 @@
 //! cargo run -p bench --release --bin report -- OLD NEW
 //! ```
 //!
-//! The mode is auto-detected from the arguments:
-//!
-//! * **Two directories** — sweep-cache compare. Every `<key>.metrics`
-//!   entry in OLD must exist in NEW and parse to identical deterministic
-//!   metrics, with **zero tolerance**: the simulator is deterministic, so
-//!   any drift in a simulated quantity is a real behavior change, not
-//!   noise. Host-profile attribution lines are excluded (wall-clock is
-//!   observational). Entries only in NEW are informational; OLD entries
-//!   in a stale cache format are skipped with a note (they cannot be
-//!   compared, but are not evidence of regression).
-//! * **Two files** — `enginebench` snapshot compare
-//!   (`BENCH_engine.json`). Rows are matched by name; a row regresses
-//!   when its speedup drops below 80% of the old one — the same slack
-//!   the `enginebench --check` gate applies, absorbing scheduler noise
-//!   on shared hosts. Rows missing from NEW fail; extra rows in NEW are
-//!   informational.
+//! OLD and NEW are two sweep-cache directories. Every `<key>.metrics`
+//! entry in OLD must exist in NEW and parse to identical metrics, with
+//! **zero tolerance**: the simulator is deterministic, so any drift in a
+//! simulated quantity is a real behavior change, not noise. Entries only
+//! in NEW are informational; OLD entries in a stale cache format are
+//! skipped with a note (they cannot be compared, but are not evidence of
+//! regression). The engine loop's wall-clock baseline
+//! (`BENCH_engine.json`) is gated by `enginebench --check` instead.
 //!
 //! Exit status: 0 when nothing regressed, 1 on any regression or missing
 //! entry, 2 on usage or I/O errors.
 
+use bench::cli::exit_usage;
 use gputm::sweep::{parse_metrics, serialize_metrics};
 use gputm::Metrics;
 use std::collections::BTreeMap;
 use std::path::Path;
 
+const USAGE: &str = "usage: report OLD NEW  (two sweep-cache directories)";
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let (old, new) = match (args.first(), args.get(1)) {
         (Some(a), Some(b)) if args.len() == 2 => (Path::new(a), Path::new(b)),
-        _ => {
-            eprintln!("usage: report OLD NEW  (two cache dirs or two BENCH_engine.json files)");
-            std::process::exit(2);
-        }
+        _ => exit_usage("expected two arguments", USAGE),
     };
     let mut out = String::new();
-    let verdict = if old.is_dir() && new.is_dir() {
-        compare_caches(old, new, &mut out)
-    } else {
-        match (std::fs::read_to_string(old), std::fs::read_to_string(new)) {
-            (Ok(o), Ok(n)) => Ok(compare_snapshots(&o, &n, &mut out)),
-            (Err(e), _) => Err(format!("cannot read {}: {e}", old.display())),
-            (_, Err(e)) => Err(format!("cannot read {}: {e}", new.display())),
-        }
-    };
+    let verdict = compare_caches(old, new, &mut out);
     print!("{out}");
     match verdict {
         Ok(true) => {}
@@ -66,73 +50,12 @@ fn main() {
     }
 }
 
-/// The `"name"` → `"speedup"` rows of an `enginebench` snapshot. The
-/// snapshot is only ever written by `enginebench --write`, so a
-/// two-marker scan is all the parsing it needs (same contract as the
-/// `--check` gate's reader).
-fn snapshot_rows(json: &str) -> Vec<(String, f64)> {
-    json.split('{')
-        .filter_map(|chunk| {
-            let name = chunk.split("\"name\": \"").nth(1)?.split('"').next()?;
-            let speedup = chunk
-                .split("\"speedup\":")
-                .nth(1)?
-                .trim()
-                .split([',', '}'])
-                .next()?
-                .trim()
-                .parse()
-                .ok()?;
-            Some((name.to_string(), speedup))
-        })
-        .collect()
-}
-
-/// Diffs two `enginebench` snapshots; `true` means nothing regressed.
-fn compare_snapshots(old_json: &str, new_json: &str, out: &mut String) -> bool {
-    let old = snapshot_rows(old_json);
-    let new: BTreeMap<String, f64> = snapshot_rows(new_json).into_iter().collect();
-    let mut ok = true;
-    out.push_str(&format!(
-        "{:<20} {:>9} {:>9} {:>9}  verdict\n",
-        "row", "old", "new", "floor"
-    ));
-    for (name, old_speedup) in &old {
-        let floor = old_speedup * 0.8;
-        match new.get(name) {
-            None => {
-                ok = false;
-                out.push_str(&format!(
-                    "{name:<20} {old_speedup:>8.2}x {:>9} {floor:>8.2}x  MISSING\n",
-                    "-"
-                ));
-            }
-            Some(&new_speedup) => {
-                let pass = new_speedup >= floor;
-                ok &= pass;
-                out.push_str(&format!(
-                    "{name:<20} {old_speedup:>8.2}x {new_speedup:>8.2}x {floor:>8.2}x  {}\n",
-                    if pass { "ok" } else { "REGRESSED" }
-                ));
-            }
-        }
-    }
-    for name in new.keys() {
-        if !old.iter().any(|(n, _)| n == name) {
-            out.push_str(&format!("{name:<20} (only in NEW — informational)\n"));
-        }
-    }
-    ok
-}
-
-/// The deterministic `key=value` lines of a serialized metrics entry:
-/// everything except the format header and the host-profile attribution
-/// (host wall-clock is observational, never a regression).
+/// The `key=value` lines of a serialized metrics entry (everything but
+/// the format header).
 fn deterministic_lines(m: &Metrics) -> BTreeMap<String, String> {
     serialize_metrics(m)
         .lines()
         .filter_map(|l| l.split_once('='))
-        .filter(|(k, _)| !k.starts_with("host_profile/"))
         .map(|(k, v)| (k.to_string(), v.to_string()))
         .collect()
 }
@@ -220,47 +143,6 @@ mod tests {
         d
     }
 
-    const OLD_SNAPSHOT: &str = r#"{
-  "rows": [
-    {"name": "atm-contended", "walk_ms": 10.0, "skip_ms": 5.0, "speedup": 2.000},
-    {"name": "idle-sparse", "walk_ms": 9.0, "skip_ms": 3.0, "speedup": 3.000}
-  ]
-}
-"#;
-
-    #[test]
-    fn snapshot_self_compare_passes() {
-        let mut out = String::new();
-        assert!(compare_snapshots(OLD_SNAPSHOT, OLD_SNAPSHOT, &mut out));
-        assert!(out.contains("atm-contended"));
-        assert!(!out.contains("REGRESSED"));
-    }
-
-    #[test]
-    fn snapshot_seeded_regression_fails() {
-        // idle-sparse collapses from 3.0x to 1.0x: far below the 80% floor.
-        let new = OLD_SNAPSHOT.replace("\"speedup\": 3.000", "\"speedup\": 1.000");
-        let mut out = String::new();
-        assert!(!compare_snapshots(OLD_SNAPSHOT, &new, &mut out));
-        assert!(out.contains("REGRESSED"));
-        // Noise within the slack passes: 2.0x -> 1.9x is not a regression.
-        let noisy = OLD_SNAPSHOT.replace("\"speedup\": 2.000", "\"speedup\": 1.900");
-        let mut out = String::new();
-        assert!(compare_snapshots(OLD_SNAPSHOT, &noisy, &mut out));
-    }
-
-    #[test]
-    fn snapshot_missing_row_fails_and_extra_rows_inform() {
-        let new = r#"{"rows": [
-            {"name": "atm-contended", "speedup": 2.000},
-            {"name": "brand-new-row", "speedup": 1.000}
-        ]}"#;
-        let mut out = String::new();
-        assert!(!compare_snapshots(OLD_SNAPSHOT, new, &mut out));
-        assert!(out.contains("MISSING"));
-        assert!(out.contains("only in NEW"));
-    }
-
     #[test]
     fn cache_self_compare_passes_and_drift_fails() {
         let old_dir = temp_dir("cache-old");
@@ -291,37 +173,6 @@ mod tests {
         assert!(out.contains("DRIFTED"), "{out}");
         assert!(out.contains("commits: 64 -> 65"), "{out}");
 
-        std::fs::remove_dir_all(&old_dir).ok();
-        std::fs::remove_dir_all(&new_dir).ok();
-    }
-
-    #[test]
-    fn cache_host_profile_drift_is_not_a_regression() {
-        use gputm::{HostProfile, ShardProfile};
-        let old_dir = temp_dir("prof-old");
-        let new_dir = temp_dir("prof-new");
-        let m = Metrics {
-            cycles: 7,
-            check: Some(Ok(())),
-            ..Metrics::default()
-        };
-        let profiled = Metrics {
-            host_profile: HostProfile {
-                shards: vec![ShardProfile {
-                    work_ns: 9,
-                    barrier_ns: 9,
-                    merge_ns: 9,
-                }],
-                windows: 3,
-            },
-            ..m.clone()
-        };
-        // OLD unprofiled, NEW profiled: wall-clock attribution differs,
-        // deterministic metrics do not.
-        ResultCache::new(&old_dir).store("bbbb", &m).unwrap();
-        ResultCache::new(&new_dir).store("bbbb", &profiled).unwrap();
-        let mut out = String::new();
-        assert_eq!(compare_caches(&old_dir, &new_dir, &mut out), Ok(true));
         std::fs::remove_dir_all(&old_dir).ok();
         std::fs::remove_dir_all(&new_dir).ok();
     }

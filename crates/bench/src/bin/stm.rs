@@ -13,8 +13,7 @@
 //! With no positionals the first-wave suite programs (HT-H, ATM) run;
 //! positionals filter by benchmark or fuzz-shape name and `--fuzz` adds
 //! the adversarial fuzz shapes. `--tiny` substitutes small instances (what
-//! CI's stm-smoke uses). `--threads` sets the TL2 worker count (and the
-//! simulator's shard count — observationally transparent there).
+//! CI's stm-smoke uses). `--threads` sets the TL2 worker count.
 //! `--system` picks the simulated system(s) to compare against (default
 //! GETM) and `--gpu volta` swaps the simulated machine for the
 //! Volta-class memory tier (sectored L1, hashed banked LLC, HBM timing). Exit status is nonzero if any row fails certification or its
@@ -26,11 +25,16 @@
 //! the abort rates and the oracle verdicts, which is the point — same
 //! programs, eager-HTM vs lazy-STM conflict detection, one oracle.
 
+use bench::cli::exit_usage;
 use gputm::prelude::*;
 use std::process::ExitCode;
 use workloads::atm::Atm;
 use workloads::fuzz::{Fuzz, FuzzShape};
 use workloads::hashtable::HashTable;
+
+const STM_USAGE: &str = "\
+usage: stm [BENCH|SHAPE ...] [--threads N] [--fuzz] [--seed N] [--tiny]
+           [--gpu fermi|volta] [--system NAME] [--all-systems]";
 
 /// One program to run on every backend.
 struct Subject {
@@ -45,16 +49,23 @@ fn bench_subject(b: Benchmark, tiny: bool, seed: u64) -> Subject {
             Benchmark::HtM => HashTable::new("HT-M", 3_840, 384, seed).tx_program(),
             Benchmark::HtL => HashTable::new("HT-L", 38_400, 384, seed).tx_program(),
             Benchmark::Atm => Atm::new(4_096, 384, 2, seed).tx_program(),
-            other => panic!("{other} is not expressible as a TxProgram yet"),
+            other => not_a_program(other),
         }
     } else {
         b.tx_program(Scale::Fast)
-            .unwrap_or_else(|| panic!("{b} is not expressible as a TxProgram yet"))
+            .unwrap_or_else(|| not_a_program(b))
     };
     Subject {
         label: b.name().to_string(),
         prog,
     }
+}
+
+fn not_a_program(b: Benchmark) -> ! {
+    exit_usage(
+        &format!("{b} is not expressible as a TxProgram yet"),
+        STM_USAGE,
+    )
 }
 
 fn fuzz_subject(shape: FuzzShape, tiny: bool, seed: u64) -> Subject {
@@ -118,39 +129,41 @@ fn main() -> ExitCode {
     let mut positional: Vec<String> = Vec::new();
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
+        let mut value = |flag: &str| {
+            it.next()
+                .unwrap_or_else(|| exit_usage(&format!("{flag} needs a value"), STM_USAGE))
+        };
         match arg.as_str() {
             "--threads" => {
-                let v = it
-                    .next()
-                    .unwrap_or_else(|| panic!("--threads needs a value"));
-                threads = v
-                    .parse()
-                    .unwrap_or_else(|e| panic!("--threads needs an integer: {e}"));
+                threads = value("--threads").parse().unwrap_or_else(|e| {
+                    exit_usage(&format!("--threads needs an integer: {e}"), STM_USAGE)
+                });
             }
             "--fuzz" => fuzz = true,
             "--tiny" => tiny = true,
             "--seed" => {
-                let v = it.next().unwrap_or_else(|| panic!("--seed needs a value"));
-                seed = v
-                    .parse()
-                    .unwrap_or_else(|e| panic!("--seed needs an integer: {e}"));
+                seed = value("--seed").parse().unwrap_or_else(|e| {
+                    exit_usage(&format!("--seed needs an integer: {e}"), STM_USAGE)
+                });
             }
             "--system" => {
-                let v = it
-                    .next()
-                    .unwrap_or_else(|| panic!("--system needs a value"));
-                systems.push(v.parse().unwrap_or_else(|e| panic!("{e}")));
+                let system = value("--system").parse::<TmSystem>();
+                systems.push(system.unwrap_or_else(|e| exit_usage(&e.to_string(), STM_USAGE)));
             }
             "--all-systems" => all_systems = true,
             "--gpu" => {
-                let v = it.next().unwrap_or_else(|| panic!("--gpu needs a value"));
-                volta = match v.to_ascii_lowercase().as_str() {
+                volta = match value("--gpu").to_ascii_lowercase().as_str() {
                     "fermi" => false,
                     "volta" => true,
-                    other => panic!("unknown gpu {other:?} (known: fermi, volta)"),
+                    other => exit_usage(
+                        &format!("unknown gpu {other:?} (known: fermi, volta)"),
+                        STM_USAGE,
+                    ),
                 };
             }
-            other if other.starts_with("--") => panic!("unknown flag {other:?}"),
+            other if other.starts_with("--") => {
+                exit_usage(&format!("unknown flag {other:?}"), STM_USAGE)
+            }
             other => positional.push(other.to_string()),
         }
     }
@@ -167,7 +180,10 @@ fn main() -> ExitCode {
         } else if let Ok(s) = name.parse::<FuzzShape>() {
             subjects.push(fuzz_subject(s, tiny, seed));
         } else {
-            panic!("unknown benchmark or fuzz shape {name:?}");
+            exit_usage(
+                &format!("unknown benchmark or fuzz shape {name:?}"),
+                STM_USAGE,
+            );
         }
     }
     if positional.is_empty() {

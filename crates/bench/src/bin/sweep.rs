@@ -24,19 +24,20 @@
 //! grid distributed across worker processes is the `campaign` binary —
 //! its stdout is byte-identical to this one's for the same grid.
 
+use bench::cli::{exit_usage, USAGE};
 use bench::grid::{render_report, GridArgs, GRID_USAGE};
 use gputm::sweep::run_sweep_report;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
     // Strip the grid flags, hand the rest to the shared parser.
-    let (grid, rest) = GridArgs::strip_from(std::env::args().skip(1))
-        .unwrap_or_else(|e| panic!("{e}\n\n{GRID_USAGE}"));
-    let args = bench::cli::Args::parse_from(rest)
-        .unwrap_or_else(|e| panic!("{e}\n\n{}", bench::cli::USAGE));
+    let usage = format!("{GRID_USAGE}\n\n{USAGE}");
+    let (grid, rest) =
+        GridArgs::strip_from(std::env::args().skip(1)).unwrap_or_else(|e| exit_usage(&e, &usage));
+    let args = bench::cli::Args::parse_from(rest).unwrap_or_else(|e| exit_usage(&e, &usage));
     let spec = grid
         .build_spec(&args)
-        .unwrap_or_else(|e| panic!("{e}\n\n{GRID_USAGE}"));
+        .unwrap_or_else(|e| exit_usage(&e, &usage));
 
     let report = run_sweep_report(&spec, &args.sweep_options());
     render_report(&report, spec.len(), "sweep")

@@ -15,13 +15,17 @@ use bench::traceview;
 use gputm::prelude::*;
 use std::path::PathBuf;
 
+const TRACE_USAGE: &str =
+    "usage: trace [BENCH] [SYSTEM] [--trace PATH] [--probe METRIC] [common flags]";
+
 fn parse_system(name: &str) -> TmSystem {
     TmSystem::ALL
         .into_iter()
         .find(|s| s.label().eq_ignore_ascii_case(name))
         .unwrap_or_else(|| {
             let known: Vec<&str> = TmSystem::ALL.iter().map(|s| s.label()).collect();
-            panic!("unknown system {name:?} (known: {})", known.join(", "))
+            let e = format!("unknown system {name:?} (known: {})", known.join(", "));
+            bench::cli::exit_usage(&e, TRACE_USAGE)
         })
 }
 
@@ -30,7 +34,10 @@ fn main() {
     let bench: Benchmark = args
         .positional
         .first()
-        .map(|name| name.parse().unwrap_or_else(|e| panic!("{e}")))
+        .map(|name| {
+            name.parse::<Benchmark>()
+                .unwrap_or_else(|e| bench::cli::exit_usage(&e.to_string(), TRACE_USAGE))
+        })
         .unwrap_or(Benchmark::HtH);
     let system = args
         .positional

@@ -17,14 +17,20 @@
 //! counterexample as a Chrome/Perfetto trace. Exit status is nonzero if
 //! any cell fails certification.
 
+use bench::cli::exit_usage;
 use gputm::prelude::*;
 use gputm::verify::export_counterexample;
 use std::path::Path;
 use std::process::ExitCode;
 use workloads::fuzz::{Fuzz, FuzzShape};
 
-fn parse_system(name: &str) -> TmSystem {
-    name.parse().unwrap_or_else(|e| panic!("{e}"))
+const VERIFY_USAGE: &str = "\
+usage: verify [BENCH|SHAPE ...] [--all-systems] [--system NAME] [--tiny]
+              [--fuzz] [--seed N] [common flags]";
+
+/// The full usage text: verify's own flags, then the common ones.
+fn usage() -> String {
+    format!("{VERIFY_USAGE}\n\n{}", bench::cli::USAGE)
 }
 
 /// One workload to certify: either a suite benchmark (run through
@@ -47,7 +53,6 @@ impl Subject {
         system: TmSystem,
         scale: workloads::suite::Scale,
         tiny: bool,
-        exec: ExecMode,
     ) -> Result<VerifiedRun, SimError> {
         let base = if tiny {
             GpuConfig::tiny_test()
@@ -64,7 +69,7 @@ impl Subject {
                 let w = Fuzz::new(*shape, threads, 3, *seed);
                 let out = Sim::new(&base)
                     .system(system)
-                    .run_with(&w, &RunOptions::default().verify(true).exec(exec))?;
+                    .run_with(&w, &RunOptions::default().verify(true))?;
                 Ok(VerifiedRun {
                     metrics: out.metrics,
                     verdict: out.verdict.expect("verified runs always carry a verdict"),
@@ -91,20 +96,22 @@ fn main() -> ExitCode {
             "--system" => {
                 let v = it
                     .next()
-                    .unwrap_or_else(|| panic!("--system needs a value"));
-                systems.push(parse_system(&v));
+                    .unwrap_or_else(|| exit_usage("--system needs a value", &usage()));
+                let system = v.parse::<TmSystem>();
+                systems.push(system.unwrap_or_else(|e| exit_usage(&e.to_string(), &usage())));
             }
             "--seed" => {
-                let v = it.next().unwrap_or_else(|| panic!("--seed needs a value"));
-                seed = v
-                    .parse()
-                    .unwrap_or_else(|e| panic!("--seed needs an integer: {e}"));
+                let v = it
+                    .next()
+                    .unwrap_or_else(|| exit_usage("--seed needs a value", &usage()));
+                seed = v.parse().unwrap_or_else(|e| {
+                    exit_usage(&format!("--seed needs an integer: {e}"), &usage())
+                });
             }
             other => rest.push(other.to_string()),
         }
     }
-    let args = bench::cli::Args::parse_from(rest)
-        .unwrap_or_else(|e| panic!("{e}\n\n{}", bench::cli::USAGE));
+    let args = bench::cli::Args::parse_from(rest).unwrap_or_else(|e| exit_usage(&e, &usage()));
 
     if all_systems {
         systems = TmSystem::ALL.to_vec();
@@ -120,7 +127,10 @@ fn main() -> ExitCode {
         } else if let Ok(s) = name.parse::<FuzzShape>() {
             subjects.push(Subject::Fuzz(s, seed));
         } else {
-            panic!("unknown benchmark or fuzz shape {name:?}");
+            exit_usage(
+                &format!("unknown benchmark or fuzz shape {name:?}"),
+                &usage(),
+            );
         }
     }
     if !explicit {
@@ -130,17 +140,12 @@ fn main() -> ExitCode {
         subjects.extend(FuzzShape::ALL.into_iter().map(|s| Subject::Fuzz(s, seed)));
     }
 
-    // Verified runs record history and therefore execute serially
-    // whatever the mode, but the flag must plumb through cleanly (and
-    // stay observational) like everywhere else.
-    let exec = ExecMode::from_threads(args.cell_threads);
-
     let mut failures = 0usize;
     let mut exported = false;
     for subject in &subjects {
         for &system in &systems {
             let run = subject
-                .run(system, args.scale, tiny, exec)
+                .run(system, args.scale, tiny)
                 .unwrap_or_else(|e| panic!("{} under {system}: {e}", subject.label()));
             let status = if run.verdict.ok() { "ok  " } else { "FAIL" };
             println!(

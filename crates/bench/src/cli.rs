@@ -7,10 +7,6 @@
 //! --paper-scale      use the paper's full benchmark sizes (default: fast)
 //! --jobs N | -j N    worker threads for the sweep (default: all cores)
 //! --serial           shorthand for --jobs 1
-//! --threads N        shard each simulation across N host threads
-//!                    (deterministic: metrics are bit-identical to
-//!                    serial; default 1). Useful for a handful of big
-//!                    cells; --jobs parallelism is better for grids.
 //! --no-cache         don't read or write the on-disk result cache
 //! --cache-dir PATH   result-cache location (default: $GETM_SWEEP_CACHE
 //!                    or target/sweep-cache)
@@ -32,7 +28,8 @@
 //! ```
 //!
 //! Remaining non-flag arguments are collected as positionals (`fig` takes
-//! a figure id, `diag` a benchmark name).
+//! a figure id, `diag` a benchmark name). A bad flag prints the error and
+//! the usage text to stderr and exits with status 2 ([`exit_usage`]).
 
 use gputm::sweep::{FailurePolicy, ResultCache, SweepOptions};
 use gputm::telemetry::{DashboardSink, JsonlSink, PromSink, Telemetry, TelemetrySink};
@@ -47,8 +44,6 @@ pub struct Args {
     pub scale: Scale,
     /// Sweep worker threads (0 = one per core).
     pub jobs: usize,
-    /// Intra-cell shard threads (1 = serial engine loop).
-    pub cell_threads: usize,
     /// Whether the on-disk result cache is enabled.
     pub cache: bool,
     /// Cache location override (`None` = default resolution).
@@ -80,7 +75,6 @@ impl Default for Args {
         Args {
             scale: Scale::Fast,
             jobs: 0,
-            cell_threads: 1,
             cache: true,
             cache_dir: None,
             progress: true,
@@ -97,15 +91,12 @@ impl Default for Args {
 }
 
 impl Args {
-    /// Parses the process's arguments.
-    ///
-    /// # Panics
-    ///
-    /// Exits with a usage message on unknown or malformed flags: every
-    /// figure binary shares one flag vocabulary, and a typo silently
-    /// ignored would run the wrong experiment.
+    /// Parses the process's arguments, exiting through [`exit_usage`] on
+    /// unknown or malformed flags: every figure binary shares one flag
+    /// vocabulary, and a typo silently ignored would run the wrong
+    /// experiment.
     pub fn parse() -> Self {
-        Args::parse_from(std::env::args().skip(1)).unwrap_or_else(|e| panic!("{e}\n\n{USAGE}"))
+        Args::parse_from(std::env::args().skip(1)).unwrap_or_else(|e| exit_usage(&e, USAGE))
     }
 
     /// Parses an explicit argument list (testable core of [`Args::parse`]).
@@ -137,14 +128,6 @@ impl Args {
                 "--jobs" | "-j" => {
                     let v = it.next().ok_or_else(|| format!("{arg} needs a value"))?;
                     out.jobs = v
-                        .parse::<usize>()
-                        .ok()
-                        .filter(|&n| n > 0)
-                        .ok_or_else(|| format!("{arg} needs a positive integer, got {v:?}"))?;
-                }
-                "--threads" => {
-                    let v = it.next().ok_or_else(|| format!("{arg} needs a value"))?;
-                    out.cell_threads = v
                         .parse::<usize>()
                         .ok()
                         .filter(|&n| n > 0)
@@ -206,12 +189,9 @@ impl Args {
         })
     }
 
-    /// The sweep options these arguments describe.
-    ///
-    /// # Panics
-    ///
-    /// Exits with a message when the `--telemetry` file cannot be
-    /// created: telemetry silently lost is worse than no run at all.
+    /// The sweep options these arguments describe. Exits through
+    /// [`exit_usage`] when the `--telemetry` file cannot be created:
+    /// telemetry silently lost is worse than no run at all.
     pub fn sweep_options(&self) -> SweepOptions {
         let mut opts = SweepOptions::new()
             .threads(self.jobs)
@@ -220,8 +200,7 @@ impl Args {
             .progress(self.progress && !self.live)
             .failure_policy(self.failures)
             .resume(self.resume)
-            .telemetry(self.telemetry().unwrap_or_else(|e| panic!("{e}")))
-            .cell_exec(gputm::ExecMode::from_threads(self.cell_threads));
+            .telemetry(self.telemetry().unwrap_or_else(|e| exit_usage(&e, USAGE)));
         if let Some(limit) = self.cell_timeout {
             opts = opts.cell_timeout(limit);
         }
@@ -233,6 +212,14 @@ impl Args {
         }
         opts
     }
+}
+
+/// Prints `error` and `usage` to stderr and exits with status 2, the
+/// conventional status of a command-line usage error. Every harness binary
+/// reports bad arguments through here instead of panicking.
+pub fn exit_usage(error: &str, usage: &str) -> ! {
+    eprintln!("error: {error}\n\n{usage}");
+    std::process::exit(2)
 }
 
 /// Parses `--failures` values: `fail-fast`, `collect-all`, or `retry:N`.
@@ -259,8 +246,6 @@ common flags (all figure binaries):
   --paper-scale      use the paper's full benchmark sizes (default: fast)
   --jobs N | -j N    worker threads for the sweep (default: all cores)
   --serial           shorthand for --jobs 1
-  --threads N        shard each simulation across N host threads
-                     (deterministic; bit-identical to serial)
   --no-cache         don't read or write the on-disk result cache
   --cache-dir PATH   result-cache location (default: $GETM_SWEEP_CACHE
                      or target/sweep-cache)
@@ -322,20 +307,6 @@ mod tests {
     #[test]
     fn serial_means_one_job() {
         assert_eq!(parse(&["--serial"]).unwrap().jobs, 1);
-    }
-
-    #[test]
-    fn threads_flag_shards_every_cell() {
-        let a = parse(&["--threads", "4"]).unwrap();
-        assert_eq!(a.cell_threads, 4);
-        assert_eq!(
-            a.sweep_options().cell_exec,
-            gputm::ExecMode::Sharded { threads: 4 }
-        );
-        // One thread is the serial engine.
-        let one = parse(&["--threads", "1"]).unwrap();
-        assert_eq!(one.sweep_options().cell_exec, gputm::ExecMode::Serial);
-        assert!(parse(&["--threads", "0"]).unwrap_err().contains("positive"));
     }
 
     #[test]

@@ -1,8 +1,7 @@
 //! # bench
 //!
 //! The experiment harness: the `fig` binary reproduces every figure and
-//! table of the GETM paper's evaluation (Sec. VI), and criterion
-//! micro-benchmarks cover the hardware structures.
+//! table of the GETM paper's evaluation (Sec. VI).
 //!
 //! Each figure prints the same rows/series the paper reports, normalized
 //! the same way, so EXPERIMENTS.md can record paper-vs-measured side by
@@ -23,6 +22,7 @@
 //! `--cache-dir`, `--quiet`).
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod cli;
 pub mod figures;

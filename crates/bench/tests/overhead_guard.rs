@@ -145,40 +145,6 @@ fn disabled_telemetry_costs_less_than_two_percent_of_a_sweep() {
     );
 }
 
-/// And for the host-shard profiler: disabled (the default), the sharded
-/// loop pays one boolean branch per would-be timestamp and zero `Instant`
-/// reads. The loop hits at most ~4 such gates per simulated cycle (two
-/// parallel-phase windows, each with a per-shard work stamp and a window
-/// stamp), so the guard times `cycles * 4` disabled gates — the exact
-/// `flag.then(Instant::now)` shape the engine uses — against 2% of an
-/// unprofiled run.
-#[test]
-fn disabled_profiler_costs_less_than_two_percent_of_a_run() {
-    let _serial = timing_lock();
-    let cell = cell();
-
-    let mut cycles = 0;
-    let run_time = min_time(3, || {
-        cycles = black_box(cell.run().expect("run")).cycles;
-    });
-    let gates = cycles.saturating_mul(4);
-
-    let gate_time = min_time(3, || {
-        for i in 0..gates {
-            let on = black_box(false);
-            black_box(on.then(Instant::now));
-            black_box(i);
-        }
-    });
-
-    let budget = run_time.mul_f64(0.02);
-    assert!(
-        gate_time < budget,
-        "disabled profiler overhead {gate_time:?} exceeds 2% of a run \
-         ({run_time:?} for {gates} gates; budget {budget:?})"
-    );
-}
-
 /// The same budget for the sweep executor's robustness machinery: with
 /// everything off (no progress reporter, fail-fast policy so the retry
 /// loop is a single pass, no per-cell timeout, no cache/journal), routing

@@ -33,6 +33,7 @@
 //! `tests/walkthrough.rs`.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod cu;
 pub mod meta;

@@ -14,6 +14,7 @@
 //!   the committed memory image.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod acquire;
 pub mod atomic;

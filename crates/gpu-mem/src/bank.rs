@@ -1,13 +1,8 @@
 //! Partition-banked committed memory.
 //!
-//! The sharded engine carves the machine's memory partitions across host
-//! threads, so the committed image must be addressable *per partition*:
-//! each bank holds exactly the words whose [`Geometry::partition_of`]
+//! Each bank holds exactly the words whose [`Geometry::partition_of`]
 //! routing lands on it, the same interleaving every other component (LLC
-//! banks, metadata tables, crossbar destinations) already uses. A shard
-//! that owns partitions `[base, base + n)` can then take a disjoint
-//! `&mut` slice of banks and read/write its own words without touching —
-//! or even being able to name — another shard's memory.
+//! banks, metadata tables, crossbar destinations) already uses.
 //!
 //! Semantics are identical to a single [`MemImage`]: every word reads as
 //! zero until written, and routing is a pure function of the address, so
@@ -67,12 +62,6 @@ impl BankedMem {
         &self.banks
     }
 
-    /// Mutable access to all banks, partition order (for shard splitting
-    /// via `split_at_mut`).
-    pub fn banks_mut(&mut self) -> &mut [MemImage] {
-        &mut self.banks
-    }
-
     /// Flattens the banks back into one [`MemImage`] (for the verifier's
     /// final-state comparison and debugging dumps).
     pub fn merged(&self) -> MemImage {
@@ -90,54 +79,6 @@ impl BankedMem {
     /// needing ascending address order should go through [`Self::merged`].
     pub fn iter_nonzero(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
         self.banks.iter().flat_map(|b| b.iter_nonzero())
-    }
-}
-
-/// A shard's view of a contiguous run of banks: partitions
-/// `[base, base + banks.len())`.
-///
-/// `get`/`set` take the same global word addresses a full [`BankedMem`]
-/// does; the slice routes them and (in debug builds) asserts the address
-/// actually belongs to one of its banks — a cross-partition access from a
-/// shard is a sharding bug, never a legal request.
-#[derive(Debug)]
-pub struct BankSlice<'a> {
-    geom: Geometry,
-    base: usize,
-    banks: &'a mut [MemImage],
-}
-
-impl<'a> BankSlice<'a> {
-    /// A view of `banks`, which are partitions `base..base + banks.len()`.
-    pub fn new(geom: Geometry, base: usize, banks: &'a mut [MemImage]) -> Self {
-        BankSlice { geom, base, banks }
-    }
-
-    #[inline]
-    fn index_of(&self, addr: u64) -> usize {
-        let p = self.geom.partition_of(Addr(addr)) as usize;
-        debug_assert!(
-            p >= self.base && p < self.base + self.banks.len(),
-            "address {addr:#x} belongs to partition {p}, outside this shard's \
-             banks [{}, {})",
-            self.base,
-            self.base + self.banks.len()
-        );
-        p - self.base
-    }
-
-    /// The committed value of word `addr` (must route into this slice).
-    #[inline]
-    pub fn get(&self, addr: u64) -> u64 {
-        let i = self.index_of(addr);
-        self.banks[i].get(addr)
-    }
-
-    /// Writes word `addr` (must route into this slice).
-    #[inline]
-    pub fn set(&mut self, addr: u64, value: u64) {
-        let i = self.index_of(addr);
-        self.banks[i].set(addr, value);
     }
 }
 
@@ -178,32 +119,6 @@ mod tests {
                 assert_eq!(g.partition_of(Addr(a)) as usize, i);
             }
         }
-    }
-
-    #[test]
-    fn bank_slice_routes_within_its_shard() {
-        let g = geom();
-        let mut banked = BankedMem::from_pairs(g, (0..1024).map(|a| (a, a + 5)));
-        // Partition of addr: (addr >> 7) % 3. Partition 1 owns lines 1, 4, ...
-        let (_, tail) = banked.banks_mut().split_at_mut(1);
-        let (mid, _) = tail.split_at_mut(1);
-        let mut slice = BankSlice::new(g, 1, mid);
-        // Line 1 = addrs 128..256 → partition 1.
-        assert_eq!(slice.get(130), 135);
-        slice.set(130, 9);
-        assert_eq!(slice.get(130), 9);
-        assert_eq!(banked.get(130), 9);
-    }
-
-    #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "outside this shard")]
-    fn bank_slice_rejects_foreign_addresses() {
-        let g = geom();
-        let mut banked = BankedMem::new(g);
-        let (head, _) = banked.banks_mut().split_at_mut(1);
-        let mut slice = BankSlice::new(g, 0, head);
-        slice.set(128, 1); // line 1 → partition 1, not in [0, 1)
     }
 
     #[test]

@@ -11,6 +11,7 @@
 //! 288 GB/s crossbars, GDDR5-like DRAM latencies).
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod addr;
 pub mod bank;
@@ -20,7 +21,7 @@ pub mod image;
 pub mod xbar;
 
 pub use addr::{partition_imbalance, Addr, Geometry, Granule, Interleave, LineAddr};
-pub use bank::{BankSlice, BankedMem};
+pub use bank::BankedMem;
 pub use cache::{AccessKind, CacheConfig, CacheResult, SetAssocCache};
 pub use dram::{DramChannel, DramConfig};
 pub use image::MemImage;

@@ -9,6 +9,7 @@
 //! `gputm` facade drives everything cycle by cycle.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod backoff;
 pub mod coalesce;

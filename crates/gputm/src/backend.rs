@@ -37,7 +37,6 @@
 //! ```
 
 use crate::config::{GpuConfig, TmSystem};
-use crate::exec::ExecMode;
 use crate::metrics::Metrics;
 use crate::runner::{RunOptions, Sim};
 use crate::verify::{Checker, Verdict};
@@ -55,10 +54,8 @@ pub struct BackendOptions {
     /// Record a [`History`] into [`BackendOutcome::history`] for offline
     /// certification.
     pub record_history: bool,
-    /// Host threads: TL2 worker count, simulator shard count. The
-    /// simulator's results are unaffected by it (sharding is
-    /// observationally transparent); TL2's interleavings are genuinely
-    /// concurrent at `threads > 1`.
+    /// TL2 worker threads; TL2's interleavings are genuinely concurrent
+    /// at `threads > 1`. The simulator ignores it.
     pub threads: usize,
     /// Seed forwarded to backend-internal randomness (TL2 backoff
     /// jitter). Simulated runs are deterministic regardless.
@@ -83,7 +80,7 @@ impl BackendOptions {
         self
     }
 
-    /// Sets the host thread count.
+    /// Sets the TL2 worker-thread count.
     #[must_use]
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads;
@@ -239,12 +236,7 @@ impl TmBackend for SimBackend {
         prog: &TxProgram,
         opts: &BackendOptions,
     ) -> Result<BackendOutcome, BackendError> {
-        let mut ropts = RunOptions::default().record_history(opts.record_history);
-        if opts.threads > 1 {
-            ropts = ropts.exec(ExecMode::Sharded {
-                threads: opts.threads,
-            });
-        }
+        let ropts = RunOptions::default().record_history(opts.record_history);
         let started = Instant::now();
         let out = Sim::new(&self.cfg)
             .system(self.system)

@@ -2,11 +2,10 @@
 //! access handling per TM system, reply processing, and the per-protocol
 //! warp commit sequences.
 //!
-//! Everything here runs on a [`CoreCtx`] — a (possibly whole-machine) core
-//! window with effect sinks — so the same code serves both issue on the
-//! lead thread and each shard of a parallel issue phase.
+//! Everything here runs on a [`CoreCtx`], which borrows the cores and the
+//! engine state the core side touches.
 
-use super::ctx::{CoreCtx, FxOp, FxSink, TokenPatch};
+use super::ctx::CoreCtx;
 use super::{CommitCtx, DownMsg, Pending, UpMsg};
 use crate::config::TmSystem;
 use fglock::AtomicOp;
@@ -70,7 +69,7 @@ impl CoreCtx<'_> {
             });
             let Some(op) = leader else { continue };
             if op == Op::TxBegin {
-                if self.rollover_pending {
+                if *self.rollover_pending {
                     continue; // hold new transactions during rollover
                 }
                 if serialized && priority != Some(slot.gwid.0 as u64) {
@@ -111,7 +110,7 @@ impl CoreCtx<'_> {
             let slot = self.cores[c].warps[w].take().expect("checked above");
             self.cores[c].retired_commits += slot.warp.total_commits();
             self.cores[c].retired_aborts += slot.warp.total_aborts();
-            self.retired += 1;
+            *self.live_warps -= 1;
             if let Some(progs) = self.cores[c].pending_warps.pop_front() {
                 let new_slot = super::make_slot(
                     progs,
@@ -391,7 +390,7 @@ impl CoreCtx<'_> {
                 }
                 slot.warp.outstanding += 1;
             }
-            let token = self.insert_pending(Pending::Access {
+            let token = self.pending.insert(Pending::Access {
                 core: c,
                 warp: w,
                 lanes,
@@ -416,7 +415,6 @@ impl CoreCtx<'_> {
                     token,
                 }),
                 "tm-access",
-                TokenPatch::Pending,
             );
         }
         *self.group_buf = by_granule;
@@ -446,7 +444,7 @@ impl CoreCtx<'_> {
                 }
                 slot.warp.outstanding += 1;
             }
-            let token = self.insert_pending(Pending::Access {
+            let token = self.pending.insert(Pending::Access {
                 core: c,
                 warp: w,
                 lanes,
@@ -455,13 +453,7 @@ impl CoreCtx<'_> {
                 issued: now,
                 versions: Vec::new(),
             });
-            self.send_up(
-                part,
-                16,
-                UpMsg::TxLoadWtm { addr, token },
-                "tm-access",
-                TokenPatch::Pending,
-            );
+            self.send_up(part, 16, UpMsg::TxLoadWtm { addr, token }, "tm-access");
         }
         *self.group_buf = by_granule;
     }
@@ -508,31 +500,17 @@ impl CoreCtx<'_> {
                     .access_at(line, sector, gpu_mem::AccessKind::Read)
                     .is_hit()
             {
-                // L1 hit: values available next cycle. The fill reads the
-                // committed image; a deferred sink replays it at the cycle
-                // barrier in core order, which reproduces serial ordering
-                // against same-cycle stores from lower-numbered cores.
-                {
-                    let slot = self.cores[c].warps[w].as_mut().expect("warp");
-                    slot.warp.sleep_until = slot.warp.sleep_until.max(now + 1);
+                // L1 hit: values available next cycle, read from the
+                // committed image now.
+                let slot = self.cores[c].warps[w].as_mut().expect("warp");
+                slot.warp.sleep_until = slot.warp.sleep_until.max(now + 1);
+                for &(l, a) in &lanes {
+                    let v = self.mem.get(a.0);
+                    let t = &mut slot.warp.threads[l as usize];
+                    t.pending_result = OpResult::Value(v);
                 }
-                match &mut self.sink {
-                    FxSink::Direct { mem, .. } => {
-                        let slot = self.cores[c].warps[w].as_mut().expect("warp");
-                        for &(l, a) in &lanes {
-                            let v = mem.get(a.0);
-                            let t = &mut slot.warp.threads[l as usize];
-                            t.pending_result = OpResult::Value(v);
-                        }
-                        lanes.clear();
-                        self.lane_pool.push(lanes);
-                    }
-                    FxSink::Deferred { ops } => ops.push(FxOp::Fill {
-                        core: c,
-                        warp: w,
-                        lanes,
-                    }),
-                }
+                lanes.clear();
+                self.lane_pool.push(lanes);
                 continue;
             }
             let part = geom.partition_of_granule(g) as usize;
@@ -544,7 +522,7 @@ impl CoreCtx<'_> {
                 }
                 slot.warp.outstanding += 1;
             }
-            let token = self.insert_pending(Pending::Access {
+            let token = self.pending.insert(Pending::Access {
                 core: c,
                 warp: w,
                 lanes,
@@ -553,13 +531,7 @@ impl CoreCtx<'_> {
                 issued: now,
                 versions: Vec::new(),
             });
-            self.send_up(
-                part,
-                16,
-                UpMsg::PlainLoad { addr, token },
-                "load",
-                TokenPatch::Pending,
-            );
+            self.send_up(part, 16, UpMsg::PlainLoad { addr, token }, "load");
         }
         *self.group_buf = by_granule;
         Ok(())
@@ -590,18 +562,12 @@ impl CoreCtx<'_> {
             slot.gwid.0
         };
         for (part, a, v, l) in sends {
-            self.store_word(a.0, v);
+            self.mem.set(a.0, v);
             self.hist.singleton_write(c, gwid, l, a.0, v, now.raw());
             if self.system.is_tm() {
                 self.cores[c].l1.invalidate(geom.line_of(a));
             }
-            self.send_up(
-                part,
-                16,
-                UpMsg::PlainStore { addr: a, value: v },
-                "store",
-                TokenPatch::None,
-            );
+            self.send_up(part, 16, UpMsg::PlainStore { addr: a, value: v }, "store");
         }
         Ok(())
     }
@@ -629,19 +595,13 @@ impl CoreCtx<'_> {
                     }
                 }
             };
-            let token = self.insert_pending(Pending::AtomicOp {
+            let token = self.pending.insert(Pending::AtomicOp {
                 core: c,
                 warp: w,
                 lane: l,
             });
             let part = geom.partition_of(op.addr()) as usize;
-            self.send_up(
-                part,
-                16,
-                UpMsg::Atomic { op, token },
-                "atomic",
-                TokenPatch::Pending,
-            );
+            self.send_up(part, 16, UpMsg::Atomic { op, token }, "atomic");
         }
         Ok(())
     }
@@ -687,7 +647,7 @@ impl CoreCtx<'_> {
             if self.cfg.sabotage == crate::config::Sabotage::GetmIgnoreLoadAborts
                 && matches!(reply.kind, ReplyKind::Abort { .. })
                 && matches!(
-                    self.pending_direct().get(reply.token),
+                    self.pending.get(reply.token),
                     Some(Pending::Access {
                         is_store: false,
                         ..
@@ -706,7 +666,7 @@ impl CoreCtx<'_> {
             issued,
             versions,
             ..
-        }) = self.pending_direct().remove(reply.token)
+        }) = self.pending.remove(reply.token)
         else {
             return Err(SimError::ProtocolViolation {
                 what: "GETM access reply routed to unknown token",
@@ -833,7 +793,7 @@ impl CoreCtx<'_> {
             issued,
             versions,
             ..
-        }) = self.pending_direct().remove(token)
+        }) = self.pending.remove(token)
         else {
             return Err(SimError::ProtocolViolation {
                 what: "load reply routed to unknown token",
@@ -922,8 +882,7 @@ impl CoreCtx<'_> {
     }
 
     fn on_atomic_reply(&mut self, token: u64, old: u64) -> Result<(), SimError> {
-        let Some(Pending::AtomicOp { core, warp, lane }) = self.pending_direct().remove(token)
-        else {
+        let Some(Pending::AtomicOp { core, warp, lane }) = self.pending.remove(token) else {
             return Err(SimError::ProtocolViolation {
                 what: "atomic reply routed to unknown token",
                 token,
@@ -952,12 +911,7 @@ impl CoreCtx<'_> {
     fn el_validate_lanes(&mut self, c: usize, w: usize, lanes: &[u32]) {
         let mut aborted = 0u32;
         let gwid = {
-            // EL validation reads committed memory mid-issue; EL runs are
-            // always one shard (see `Engine::shard_count`), so the sink is
-            // direct by construction.
-            let FxSink::Direct { mem, .. } = &self.sink else {
-                unreachable!("WarpTM-EL runs on one shard with a direct sink")
-            };
+            let mem = &*self.mem;
             let slot = self.cores[c].warps[w].as_mut().expect("warp alive");
             for &l in lanes {
                 let t = &slot.warp.threads[l as usize];
@@ -1175,13 +1129,7 @@ impl CoreCtx<'_> {
             }
             let bytes = CommitEntry::batch_bytes(&entries);
             let ids = std::mem::take(&mut per_part_ids[p]);
-            self.send_up(
-                p,
-                bytes,
-                UpMsg::GetmLog(entries, ids),
-                "commit",
-                TokenPatch::None,
-            );
+            self.send_up(p, bytes, UpMsg::GetmLog(entries, ids), "commit");
         }
         for ids in per_part_ids {
             if ids.capacity() > 0 && ids.is_empty() {
@@ -1321,13 +1269,7 @@ impl CoreCtx<'_> {
             let mut job = std::mem::take(&mut jobs[p]);
             job.token = token;
             let bytes = job.entries() as u64 * gpu_simt::log::LOG_ENTRY_BYTES;
-            self.send_up(
-                p,
-                bytes.max(8),
-                UpMsg::Validate(job),
-                "validation",
-                TokenPatch::Commit,
-            );
+            self.send_up(p, bytes.max(8), UpMsg::Validate(job), "validation");
         }
     }
 
@@ -1341,9 +1283,7 @@ impl CoreCtx<'_> {
         };
         let mut failed_mask = 0u64;
         {
-            let FxSink::Direct { mem, .. } = &self.sink else {
-                unreachable!("WarpTM-EL runs on one shard with a direct sink")
-            };
+            let mem = &*self.mem;
             let slot = self.cores[c].warps[w].as_mut().expect("warp");
             for l in 0..slot.warp.threads.len() {
                 if commit_mask & (1 << l) == 0 {
@@ -1429,7 +1369,7 @@ impl CoreCtx<'_> {
         *self.word_buf = word_buf;
         for writes in &per_part {
             for &(a, v) in writes {
-                self.store_word(a.0, v);
+                self.mem.set(a.0, v);
             }
         }
         {
@@ -1473,19 +1413,13 @@ impl CoreCtx<'_> {
         for p in involved {
             let writes = std::mem::take(&mut per_part[p]);
             let bytes = (writes.len() as u64 * gpu_simt::log::LOG_ENTRY_BYTES).max(8);
-            self.send_up(
-                p,
-                bytes,
-                UpMsg::ElWriteLog { token, writes },
-                "commit",
-                TokenPatch::Commit,
-            );
+            self.send_up(p, bytes, UpMsg::ElWriteLog { token, writes }, "commit");
         }
     }
 
     fn on_verdict(&mut self, token: u64, failed_lanes: u64) -> Result<(), SimError> {
         let (core, warp, lanes, failed, parts) = {
-            let Some(ctx) = self.commits_direct().get_mut(token) else {
+            let Some(ctx) = self.commits_in_flight.get_mut(token) else {
                 return Err(SimError::ProtocolViolation {
                     what: "validation verdict for unknown commit",
                     token,
@@ -1563,10 +1497,9 @@ impl CoreCtx<'_> {
                         failed_lanes: failed,
                     },
                     "commit",
-                    TokenPatch::None,
                 );
             }
-            self.commits_direct().remove(token);
+            self.commits_in_flight.remove(token);
             let Some(slot) = self.cores[core].warps[warp].as_mut() else {
                 return Err(SimError::ProtocolViolation {
                     what: "failed commit verdict for a retired warp",
@@ -1587,10 +1520,9 @@ impl CoreCtx<'_> {
                         failed_lanes: failed,
                     },
                     "commit",
-                    TokenPatch::None,
                 );
             }
-            let Some(ctx) = self.commits_direct().get_mut(token) else {
+            let Some(ctx) = self.commits_in_flight.get_mut(token) else {
                 return Err(SimError::ProtocolViolation {
                     what: "commit context vanished while issuing commit commands",
                     token,
@@ -1605,7 +1537,7 @@ impl CoreCtx<'_> {
 
     fn on_commit_ack(&mut self, token: u64) -> Result<(), SimError> {
         let done = {
-            let Some(ctx) = self.commits_direct().get_mut(token) else {
+            let Some(ctx) = self.commits_in_flight.get_mut(token) else {
                 return Err(SimError::ProtocolViolation {
                     what: "commit acknowledgement for unknown commit",
                     token,
@@ -1618,7 +1550,7 @@ impl CoreCtx<'_> {
         if !done {
             return Ok(());
         }
-        let Some(ctx) = self.commits_direct().remove(token) else {
+        let Some(ctx) = self.commits_in_flight.remove(token) else {
             return Err(SimError::ProtocolViolation {
                 what: "commit context vanished between acknowledgements",
                 token,
@@ -1668,10 +1600,9 @@ impl CoreCtx<'_> {
                 let cause = slot.warp.abort_cause_ts;
                 let skip = 1 + (slot.gwid.0 as u64 & 7);
                 slot.warp.warpts = slot.warp.warpts.max(cause + skip);
-                self.ts_high_water = self.ts_high_water.max(slot.warp.warpts);
                 slot.warp.abort_cause_ts = 0;
                 if slot.warp.warpts >= self.cfg.ts_limit {
-                    self.rollover_pending = true;
+                    *self.rollover_pending = true;
                 }
             }
             slot.warp.backoff.note_abort();
@@ -1715,10 +1646,9 @@ impl CoreCtx<'_> {
             }
             if is_getm && committed {
                 slot.warp.warpts = slot.warp.warpts.max(slot.obs_max_ts) + 1;
-                self.ts_high_water = self.ts_high_water.max(slot.warp.warpts);
             }
             if is_getm && slot.warp.warpts >= self.cfg.ts_limit {
-                self.rollover_pending = true;
+                *self.rollover_pending = true;
             }
             slot.warp.backoff.reset();
             for t in slot.warp.threads.iter_mut() {

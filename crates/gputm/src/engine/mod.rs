@@ -17,17 +17,15 @@
 //!    greedy-then-oldest scheduler;
 //! 4. per-warp transactional exec/wait statistics are sampled.
 //!
-//! The cycle loop itself lives in `sharded.rs`; a serial run is its
-//! one-shard case.
+//! The four phases run in order on the calling thread, with direct
+//! effects: a message sent in one phase is in the crossbar before the next
+//! handler runs.
 //!
 //! Everything is deterministic for a given `GpuConfig::seed`.
 
 mod core_side;
 mod ctx;
 mod partition_side;
-mod pool;
-mod profiler;
-mod sharded;
 mod watchdog;
 
 use crate::config::{GpuConfig, TmSystem};
@@ -263,31 +261,6 @@ pub(crate) struct EngineStats {
     pub aborts_validation: u64,
 }
 
-impl EngineStats {
-    /// Folds another stats block into this one. Every constituent is a
-    /// sum, a max, or a mean over exactly-representable integer samples,
-    /// so merging per-shard blocks in any order yields the same result as
-    /// serial accumulation — the property sharded execution's bit-identical
-    /// metrics rest on.
-    pub(crate) fn merge(&mut self, other: &EngineStats) {
-        self.commits += other.commits;
-        self.aborts += other.aborts;
-        self.access_rt.merge(&other.access_rt);
-        self.vu_queue_delay.merge(&other.vu_queue_delay);
-        self.data_latency.merge(&other.data_latency);
-        self.rounds_per_region.merge(&other.rounds_per_region);
-        self.silent_commits += other.silent_commits;
-        self.tx_exec_cycles += other.tx_exec_cycles;
-        self.tx_wait_cycles += other.tx_wait_cycles;
-        self.max_stall_total = self.max_stall_total.max(other.max_stall_total);
-        self.eapg_broadcasts += other.eapg_broadcasts;
-        self.rollovers += other.rollovers;
-        self.meta_latency.merge(&other.meta_latency);
-        self.aborts_intra_warp += other.aborts_intra_warp;
-        self.aborts_validation += other.aborts_validation;
-    }
-}
-
 /// The engine itself.
 pub struct Engine {
     pub(crate) cfg: GpuConfig,
@@ -295,7 +268,7 @@ pub struct Engine {
     pub(crate) geom: Geometry,
     pub(crate) now: Cycle,
     /// Committed memory image, keyed by word address and banked by
-    /// partition so sharded execution can split it across threads.
+    /// partition.
     pub(crate) mem: BankedMem,
     pub(crate) cores: Vec<CoreState>,
     pub(crate) parts: Vec<Partition>,
@@ -319,15 +292,6 @@ pub struct Engine {
     pub(crate) wd: WatchdogState,
     /// Cooperative cancellation flag, polled every few thousand cycles.
     pub(crate) cancel: Option<CancelToken>,
-    /// Host-thread execution mode (serial by default). Changing it never
-    /// changes results — the shard loop is bit-identical at any width.
-    pub(crate) exec: ExecMode,
-    /// Highest warp timestamp written since the last rollover, maintained
-    /// by `finish_round`. The shard loop uses it to prove a cycle cannot
-    /// reach `ts_limit` before running issue in parallel (rollover arming
-    /// must be observed by all later cores within the same cycle, which
-    /// only issue on the lead thread reproduces).
-    pub(crate) ts_high_water: u64,
     /// When set (the default), cycles in which provably nothing can happen
     /// — every warp asleep or unissuable, both crossbars quiet — are elided
     /// by jumping the clock to the next scheduled event. Purely a simulator
@@ -335,11 +299,6 @@ pub struct Engine {
     /// test suite pins this). The `legacy-loop` cargo feature flips the
     /// default for pre-change comparison runs.
     pub(crate) idle_skip: bool,
-    /// When set, sharded runs attribute host wall-time per shard (work vs.
-    /// barrier-wait vs. merge) into `Metrics::host_profile`. Off by
-    /// default: the off path costs one branch per parallel phase, and the
-    /// attribution never affects simulated results.
-    pub(crate) host_profiling: bool,
     // --- reusable scratch, hoisted out of the per-cycle hot loop ---
     /// Drain buffer for up-crossbar deliveries.
     pub(crate) up_buf: Vec<Delivery<UpMsg>>,
@@ -366,9 +325,6 @@ pub struct Engine {
     pub(crate) word_buf: Vec<(u64, u64)>,
     /// Validation-job line dedup scratch (`wtm_validate`).
     pub(crate) line_buf: Vec<LineAddr>,
-    /// Abort-address notes buffered by execution contexts, drained into
-    /// the watchdog's hot-address tally at phase barriers.
-    pub(crate) wd_addr_buf: Vec<u64>,
 }
 
 impl Engine {
@@ -475,10 +431,7 @@ impl Engine {
             rollover_pending: false,
             wd: WatchdogState::new(&cfg.watchdog, system.is_tm()),
             cancel: None,
-            exec: ExecMode::Serial,
-            ts_high_water: cfg.cores as u64 * cfg.warps_per_core as u64,
             idle_skip: !cfg!(feature = "legacy-loop"),
-            host_profiling: false,
             up_buf: Vec::new(),
             down_buf: Vec::new(),
             ready_buf: Vec::new(),
@@ -490,18 +443,12 @@ impl Engine {
             attempt_pool: Vec::new(),
             word_buf: Vec::new(),
             line_buf: Vec::new(),
-            wd_addr_buf: Vec::new(),
         })
     }
 
-    /// Selects the host-thread execution mode. Results are bit-identical
-    /// across modes; sharding is a wall-clock optimization only. Runs
-    /// that require serial observation order (event tracing, history
-    /// recording, WarpTM-EL's partition-order-sensitive value commits)
-    /// run on one shard automatically.
-    pub fn set_exec(&mut self, exec: ExecMode) {
-        self.exec = exec;
-    }
+    /// Does nothing: the engine always runs on the calling thread. Kept
+    /// so callers written against the sharded engine still compile.
+    pub fn set_exec(&mut self, _exec: ExecMode) {}
 
     /// Enables or disables idle skip-ahead (on by default unless the
     /// `legacy-loop` feature is set). Exposed so the A/B equality tests and
@@ -510,13 +457,10 @@ impl Engine {
         self.idle_skip = on;
     }
 
-    /// Enables host-side wall-time profiling of sharded runs (see
-    /// [`crate::metrics::HostProfile`]). Purely observational: simulated
-    /// results are bit-identical with it on or off, and one-shard runs
-    /// ignore it (there are no barriers to attribute).
-    pub fn set_host_profiling(&mut self, on: bool) {
-        self.host_profiling = on;
-    }
+    /// Does nothing: there are no shards to profile, so
+    /// [`Metrics::host_profile`] is always empty. Kept so callers written
+    /// against the sharded engine still compile.
+    pub fn set_host_profiling(&mut self, _on: bool) {}
 
     /// Number of in-flight request contexts the engine is tracking
     /// (pending accesses plus commit attempts). Zero after a drained run —
@@ -579,21 +523,72 @@ impl Engine {
     /// routed to any outstanding request (an engine/protocol-model bug, not
     /// modelled behaviour).
     pub fn run(&mut self) -> Result<Metrics, SimError> {
-        self.run_shards(self.shard_count())
+        while !self.drained() {
+            let now = self.now.raw();
+            if now >= self.cfg.max_cycles {
+                return Err(SimError::CycleLimitExceeded {
+                    limit: self.cfg.max_cycles,
+                });
+            }
+            if now >= self.wd.next_check {
+                self.watchdog_tick()?;
+            }
+            // Poll the cancel flag on a coarse cycle mask: one atomic load
+            // per 8192 cycles keeps the cost unmeasurable.
+            if now & 0x1FFF == 0 {
+                if let Some(tok) = &self.cancel {
+                    if tok.is_cancelled() {
+                        return Err(SimError::Interrupted { cycle: now });
+                    }
+                }
+            }
+            if self.try_idle_skip() {
+                continue;
+            }
+            self.step()?;
+        }
+        self.wd.finalize(self.stats.commits);
+        Ok(self.collect_metrics())
     }
 
-    /// How many shards this run splits into: the mode's thread count, or
-    /// one when an observer needs serial program order. Event tracing and
-    /// history recording interleave their streams in that order (it cannot
-    /// be reconstructed from buffered shard output), and WarpTM-EL commits
-    /// values from the partition side; all three run on one shard, which
-    /// is bit-identical anyway.
-    pub(crate) fn shard_count(&self) -> usize {
-        if self.rec.is_on() || self.hist.is_on() || self.system == TmSystem::WarpTmEL {
-            1
-        } else {
-            self.exec.threads()
+    /// One cycle. See the module docs for the phase structure.
+    fn step(&mut self) -> Result<(), SimError> {
+        if self.rollover_pending {
+            self.try_complete_rollover();
         }
+        let now = self.now;
+        // Phase 1: up deliveries -> partitions. The drain buffers are owned
+        // by the engine and reused every cycle; they are taken out while
+        // handlers borrow the engine state mutably (a handler can inject
+        // new packets, never consume arrivals).
+        let mut up_buf = std::mem::take(&mut self.up_buf);
+        self.up.drain_due(now, &mut up_buf);
+        {
+            let mut ctx = self.part_ctx();
+            for d in up_buf.drain(..) {
+                ctx.handle_up(d.dst, d.payload)?;
+            }
+        }
+        self.up_buf = up_buf;
+
+        // Phases 2 and 3: down deliveries -> cores, then issue.
+        let mut down_buf = std::mem::take(&mut self.down_buf);
+        self.down.drain_due(now, &mut down_buf);
+        {
+            let mut ctx = self.core_ctx();
+            for d in down_buf.drain(..) {
+                ctx.handle_down(d.dst, d.payload)?;
+            }
+            for c in 0..ctx.cores.len() {
+                ctx.issue_core(c)?;
+            }
+        }
+        self.down_buf = down_buf;
+
+        // Phase 4: statistics sampling.
+        self.sample_stats(1);
+        self.now += 1;
+        Ok(())
     }
 
     /// Attempts to elide a run of cycles in which provably nothing happens.
@@ -885,8 +880,6 @@ impl Engine {
         }
         self.stats.rollovers += 1;
         self.rollover_pending = false;
-        // Post-rollover clocks restart at small per-warp values.
-        self.ts_high_water = 0x3F;
     }
 
     fn drained(&self) -> bool {

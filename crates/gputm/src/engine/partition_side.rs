@@ -10,7 +10,7 @@
 //! Load values are captured *here*, at partition processing time, so a
 //! reply in flight can never observe logically later writes.
 
-use super::ctx::{DownSend, DownSink, PartCtx};
+use super::ctx::PartCtx;
 use super::{DownMsg, Pending, UpMsg};
 use crate::config::MemModel;
 use fglock::AtomicOp;
@@ -149,43 +149,22 @@ impl PartCtx<'_> {
     /// can attribute the read once the reply is delivered and no path can
     /// leak the capture.
     fn capture_values(&mut self, token: u64) -> Result<(usize, Vec<u64>), SimError> {
-        if self.hist.is_on() {
-            // History recording runs on one shard, so the pending tap is the
-            // mutable one and the version capture can write into the
-            // context.
-            return match self.pending.get_mut(token) {
-                Some(Pending::Access {
-                    core,
-                    lanes,
-                    is_store,
-                    is_tx,
-                    versions,
-                    ..
-                }) => {
-                    let mut values = self.value_pool.pop().unwrap_or_default();
-                    values.clear();
-                    values.extend(lanes.iter().map(|&(_, a)| self.mem.get(a.0)));
-                    if *is_tx && !*is_store {
-                        versions.clear();
-                        versions.extend(lanes.iter().map(|&(_, a)| self.hist.version_of(a.0)));
-                    }
-                    Ok((*core, values))
-                }
-                Some(Pending::AtomicOp { core, .. }) => Ok((*core, Vec::new())),
-                None => Err(SimError::ProtocolViolation {
-                    what: "memory reply for unknown token",
-                    token,
-                    cycle: self.now.raw(),
-                }),
-            };
-        }
-        // Recording off (every sharded phase, most serial runs): the
-        // pending slab is only read, so a shared tap suffices.
-        match self.pending.get(token) {
-            Some(Pending::Access { core, lanes, .. }) => {
+        match self.pending.get_mut(token) {
+            Some(Pending::Access {
+                core,
+                lanes,
+                is_store,
+                is_tx,
+                versions,
+                ..
+            }) => {
                 let mut values = self.value_pool.pop().unwrap_or_default();
                 values.clear();
                 values.extend(lanes.iter().map(|&(_, a)| self.mem.get(a.0)));
+                if self.hist.is_on() && *is_tx && !*is_store {
+                    versions.clear();
+                    versions.extend(lanes.iter().map(|&(_, a)| self.hist.version_of(a.0)));
+                }
                 Ok((*core, values))
             }
             Some(Pending::AtomicOp { core, .. }) => Ok((*core, Vec::new())),
@@ -461,13 +440,10 @@ impl PartCtx<'_> {
         // Committed-write attribution: surviving lane entries carry their
         // lane id, and the in-flight commit context names the warp, so the
         // history can chain each applied word to its transaction attempt.
-        // The core-state lookup only exists while recording (which forces
-        // a one-shard run, where the context carries the core slice).
         let gwid = if self.hist.is_on() {
-            let cores = self.cores.expect("history recording runs on one shard");
             self.commits_in_flight
                 .get(token)
-                .and_then(|ctx| cores[ctx.core].warps[ctx.warp].as_ref())
+                .and_then(|ctx| self.cores[ctx.core].warps[ctx.warp].as_ref())
                 .map(|slot| slot.gwid.0)
         } else {
             None
@@ -491,8 +467,9 @@ impl PartCtx<'_> {
         self.send_down(done, core, 8, DownMsg::CommitAck { token }, "commit-ack");
         // EAPG: broadcast the committed write set to every core.
         if self.system == crate::config::TmSystem::Eapg && !granules.is_empty() {
-            self.stats.eapg_broadcasts += self.n_cores as u64;
-            for c in 0..self.n_cores {
+            let n_cores = self.cores.len();
+            self.stats.eapg_broadcasts += n_cores as u64;
+            for c in 0..n_cores {
                 self.send_down(
                     done,
                     c,
@@ -581,10 +558,8 @@ impl PartCtx<'_> {
         if self.hist.is_on() {
             // An atomic is a committed singleton transaction: it observes
             // `old` and (for mutating ops) installs a new version in the
-            // same indivisible step. (Recording forces one shard, so
-            // the core slice is present.)
-            let cores = self.cores.expect("history recording runs on one shard");
-            let gwid = cores[core].warps[warp]
+            // same indivisible step.
+            let gwid = self.cores[core].warps[warp]
                 .as_ref()
                 .map(|s| s.gwid.0)
                 .unwrap_or(u32::MAX);
@@ -610,11 +585,7 @@ impl PartCtx<'_> {
 
     // ----- Helpers ---------------------------------------------------------
 
-    /// Injects a reply onto the down crossbar — directly in serial
-    /// execution, or into the shard's ordered buffer during a parallel
-    /// partition phase (the lead thread replays buffered sends sorted by
-    /// `(delivery index, send ordinal)`, reconstructing the exact serial
-    /// injection sequence).
+    /// Injects a reply onto the down crossbar.
     pub(crate) fn send_down(
         &mut self,
         at: Cycle,
@@ -623,23 +594,7 @@ impl PartCtx<'_> {
         msg: DownMsg,
         category: &'static str,
     ) {
-        match &mut self.down {
-            DownSink::Direct(down) => {
-                down.send(at, core, bytes, msg, category);
-            }
-            DownSink::Buffer { buf, idx, k } => {
-                buf.push(DownSend {
-                    idx: *idx,
-                    k: *k,
-                    at,
-                    dst: core,
-                    bytes,
-                    msg,
-                    cat: category,
-                });
-                *k += 1;
-            }
-        }
+        self.down.send(at, core, bytes, msg, category);
     }
 
     /// The destination core of an in-flight commit token.

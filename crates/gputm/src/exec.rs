@@ -1,27 +1,20 @@
-//! Execution-mode selection for the engine.
+//! The former host-thread execution mode.
 //!
-//! The simulated machine is always the same machine; [`ExecMode`] only
-//! chooses how many *host* threads advance it. There is one cycle loop:
-//! `Serial` runs it on one shard, on the calling thread.
-//! `Sharded { threads }` carves the cores and memory partitions into
-//! contiguous shards that execute each cycle's phases in parallel,
-//! exchanging all cross-shard effects at per-cycle barriers in canonical
-//! order — so metrics, traces, and verification
-//! verdicts are bit-identical to `Serial` regardless of the thread count.
-//! Because results never differ, the mode is excluded from sweep cache
-//! digests: a cell computed serially satisfies a sharded request and vice
-//! versa.
+//! The engine runs every simulation on the calling thread (DESIGN.md §12).
+//! [`ExecMode`] once chose how many host threads advanced it; it remains
+//! only so code written against the sharded engine still compiles, and
+//! [`crate::engine::Engine::set_exec`] ignores it.
 
-/// How many host threads advance the simulation.
+/// How many host threads a caller asked for. The engine ignores it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ExecMode {
-    /// One shard on the calling thread: the reference execution.
+    /// One host thread.
     #[default]
     Serial,
-    /// Cycle-lockstep sharded execution on `threads` host threads.
-    /// `Sharded { threads: 1 }` is equivalent to `Serial`.
+    /// Formerly cycle-lockstep sharded execution on `threads` host
+    /// threads; now the same run as `Serial`.
     Sharded {
-        /// Host threads to use (the lead thread counts as one).
+        /// Host threads asked for.
         threads: usize,
     },
 }
@@ -34,16 +27,6 @@ impl ExecMode {
             ExecMode::Sharded { threads } => threads.max(1),
         }
     }
-
-    /// `Serial` for 0/1 threads, `Sharded` otherwise — the shape CLI
-    /// `--threads N` flags want.
-    pub fn from_threads(threads: usize) -> Self {
-        if threads <= 1 {
-            ExecMode::Serial
-        } else {
-            ExecMode::Sharded { threads }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -54,9 +37,6 @@ mod tests {
     fn thread_count_round_trips() {
         assert_eq!(ExecMode::default(), ExecMode::Serial);
         assert_eq!(ExecMode::Serial.threads(), 1);
-        assert_eq!(ExecMode::from_threads(0), ExecMode::Serial);
-        assert_eq!(ExecMode::from_threads(1), ExecMode::Serial);
-        assert_eq!(ExecMode::from_threads(4), ExecMode::Sharded { threads: 4 });
         assert_eq!(ExecMode::Sharded { threads: 4 }.threads(), 4);
         assert_eq!(ExecMode::Sharded { threads: 0 }.threads(), 1);
     }

@@ -30,12 +30,13 @@
 //!   [`config::TmSystem`] selector.
 //! * [`engine`] — the cycle-level engine that moves messages between cores
 //!   and memory partitions and drives each TM protocol.
-//! * [`exec`] — the host-thread execution mode ([`exec::ExecMode`]):
-//!   serial, or sharded across host threads with bit-identical results.
+//! * [`exec`] — the former host-thread execution mode
+//!   ([`exec::ExecMode`]), kept for source compatibility; the engine
+//!   always runs on the calling thread.
 //! * [`metrics`] — everything measured during a run.
 //! * [`runner`] — the [`runner::Sim`] builder and the unified
 //!   [`runner::RunOptions`] execution API (tracing, verification,
-//!   cancellation, execution mode) with invariant checking.
+//!   cancellation) with invariant checking.
 //! * [`verify`] — the serializability/opacity oracle behind verified runs.
 //! * [`sweep`] — parallel grid execution with deterministic result caching.
 //! * [`campaign`] — distributed sweeps (Unix only): a coordinator process
@@ -46,6 +47,7 @@
 //! * [`silicon`] — the analytical SRAM area/power model behind Table V.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod backend;
 #[cfg(unix)]

@@ -6,21 +6,17 @@
 
 use sim_core::LogHistogram;
 use std::collections::BTreeMap;
-use std::time::Duration;
 
-/// Host-side wall-time attribution for one shard of an
-/// [`crate::exec::ExecMode::Sharded`] run: where this host thread's time
-/// went, split into simulation work, barrier wait (parked or spinning at
-/// a lockstep barrier while siblings finish), and canonical merge (the
-/// lead thread replaying cross-shard effects in serial order).
+/// One shard's host wall-time attribution. The engine runs on one thread
+/// and never fills it; the type stays so code written against the sharded
+/// engine still compiles.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ShardProfile {
-    /// Nanoseconds spent advancing this shard's cores/partitions.
+    /// Nanoseconds of simulation work.
     pub work_ns: u64,
-    /// Nanoseconds waiting at lockstep barriers for sibling shards.
+    /// Nanoseconds waiting at barriers.
     pub barrier_ns: u64,
-    /// Nanoseconds replaying buffered cross-shard effects in canonical
-    /// order (attributed to the lead thread, which performs every merge).
+    /// Nanoseconds merging cross-shard effects.
     pub merge_ns: u64,
 }
 
@@ -31,67 +27,14 @@ impl ShardProfile {
     }
 }
 
-/// Host-side profile of a sharded run: per-shard [`ShardProfile`]s plus
-/// how many parallel-phase windows were sampled. Empty (no shards) when
-/// the run was serial or profiling was off.
-///
-/// Wall-clock attribution is host-dependent — scheduler noise, core
-/// count, frequency scaling — so it is *excluded from the determinism
-/// contract*: `PartialEq` deliberately compares any two profiles equal,
-/// keeping `Metrics` equality (and the serial==sharded bit-identity
-/// assertions everywhere) about the simulated machine only.
-#[derive(Debug, Clone, Default)]
+/// Host-side shard profile of a run: always empty, since the engine runs
+/// on one thread (see [`ShardProfile`]).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct HostProfile {
-    /// Attribution per shard, indexed by shard id (shard 0 is the lead,
-    /// which also performs all merges).
+    /// Attribution per shard (always empty).
     pub shards: Vec<ShardProfile>,
-    /// Parallel-phase windows sampled (up-delivery + issue phases).
+    /// Parallel-phase windows sampled (always zero).
     pub windows: u64,
-}
-
-impl HostProfile {
-    /// Whether any profile was captured.
-    pub fn is_empty(&self) -> bool {
-        self.shards.is_empty()
-    }
-
-    /// The fraction of a shard's attributed time spent waiting at
-    /// barriers — the ROADMAP item 1 question ("do lockstep barriers cap
-    /// scaling?") in one number. `None` if the shard captured nothing.
-    pub fn barrier_fraction(&self, shard: usize) -> Option<f64> {
-        let s = self.shards.get(shard)?;
-        let total = s.total_ns();
-        if total == 0 {
-            return None;
-        }
-        Some(s.barrier_ns as f64 / total as f64)
-    }
-
-    /// One `work/barrier/merge` summary line per shard, for reports.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        for (i, s) in self.shards.iter().enumerate() {
-            let total = s.total_ns().max(1);
-            out.push_str(&format!(
-                "shard {i}: work {:>9.2?} ({:>4.1}%) | barrier {:>9.2?} ({:>4.1}%) | merge {:>9.2?} ({:>4.1}%)\n",
-                Duration::from_nanos(s.work_ns),
-                100.0 * s.work_ns as f64 / total as f64,
-                Duration::from_nanos(s.barrier_ns),
-                100.0 * s.barrier_ns as f64 / total as f64,
-                Duration::from_nanos(s.merge_ns),
-                100.0 * s.merge_ns as f64 / total as f64,
-            ));
-        }
-        out
-    }
-}
-
-impl PartialEq for HostProfile {
-    /// Always equal: host wall-clock attribution is observational and
-    /// excluded from the determinism contract (see type docs).
-    fn eq(&self, _other: &HostProfile) -> bool {
-        true
-    }
 }
 
 /// Measurements from one simulated kernel execution.
@@ -199,9 +142,7 @@ pub struct Metrics {
     pub watchdog_escalations: u64,
     /// Commits that landed while the machine was in serialization fallback.
     pub serialized_commits: u64,
-    /// Host-side wall-time attribution for sharded runs (empty unless
-    /// profiling was enabled via [`crate::runner::RunOptions::profile`]).
-    /// Compares equal to anything — see [`HostProfile`]'s `PartialEq`.
+    /// Host-side shard profile: always empty (see [`HostProfile`]).
     pub host_profile: HostProfile,
 }
 
@@ -312,50 +253,6 @@ mod tests {
             ..Metrics::default()
         };
         m.assert_correct();
-    }
-
-    #[test]
-    fn host_profile_is_excluded_from_metrics_equality() {
-        let profiled = Metrics {
-            host_profile: HostProfile {
-                shards: vec![ShardProfile {
-                    work_ns: 100,
-                    barrier_ns: 50,
-                    merge_ns: 25,
-                }],
-                windows: 7,
-            },
-            ..Metrics::default()
-        };
-        // The determinism contract is about the simulated machine: a
-        // profiled sharded run still compares equal to an unprofiled
-        // serial run of the same cell.
-        assert_eq!(profiled, Metrics::default());
-        assert!(!profiled.host_profile.is_empty());
-        assert!(Metrics::default().host_profile.is_empty());
-    }
-
-    #[test]
-    fn barrier_fraction_and_render() {
-        let p = HostProfile {
-            shards: vec![
-                ShardProfile {
-                    work_ns: 750,
-                    barrier_ns: 250,
-                    merge_ns: 0,
-                },
-                ShardProfile::default(),
-            ],
-            windows: 3,
-        };
-        assert_eq!(p.barrier_fraction(0), Some(0.25));
-        assert_eq!(p.barrier_fraction(1), None, "empty shard has no ratio");
-        assert_eq!(p.barrier_fraction(9), None, "out of range");
-        let text = p.render();
-        assert!(text.contains("shard 0"), "{text}");
-        assert!(text.contains("barrier"), "{text}");
-        assert_eq!(text.lines().count(), 2);
-        assert_eq!(p.shards[0].total_ns(), 1000);
     }
 
     #[test]

@@ -3,7 +3,6 @@
 
 use crate::config::{GpuConfig, TmSystem, WatchdogConfig};
 use crate::engine::Engine;
-use crate::exec::ExecMode;
 use crate::metrics::Metrics;
 use crate::verify::{self, Verdict};
 use gpu_mem::MemImage;
@@ -12,29 +11,22 @@ use sim_core::{CancelToken, Recorder, SimError};
 use std::collections::HashMap;
 use workloads::Workload;
 
-/// Everything that can be composed onto a single run: the host-thread
-/// execution mode, an optional event-trace recorder, history verification,
-/// cooperative cancellation, and a watchdog override. The zero-cost default
-/// (`RunOptions::default()`) is a plain serial, untraced, unverified run.
-///
-/// Execution mode never changes results — `ExecMode::Sharded` produces
-/// bit-identical metrics, traces, and verdicts to `ExecMode::Serial` (modes
-/// that require serial observation order, like tracing and verification,
-/// transparently run on one shard).
+/// Everything that can be composed onto a single run: an optional
+/// event-trace recorder, history verification, cooperative cancellation,
+/// and a watchdog override. The zero-cost default (`RunOptions::default()`)
+/// is a plain untraced, unverified run.
 ///
 /// ```no_run
 /// use gputm::prelude::*;
 ///
 /// let cfg = GpuConfig::fermi_15core();
 /// let w = Benchmark::Atm.build(Scale::Fast);
-/// let opts = RunOptions::default().exec(ExecMode::Sharded { threads: 4 });
+/// let opts = RunOptions::default().verify(true);
 /// let out = Sim::new(&cfg).run_with(w.as_ref(), &opts).unwrap();
 /// println!("cycles = {}", out.metrics.unwrap().cycles);
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct RunOptions {
-    /// Host-thread execution mode (observationally irrelevant).
-    pub exec: ExecMode,
     /// Event-trace recorder to attach, if any. The caller keeps a clone
     /// and reads the bus afterwards (see [`sim_core::Recorder::bus`]).
     pub trace: Option<Recorder>,
@@ -51,22 +43,9 @@ pub struct RunOptions {
     pub cancel: Option<CancelToken>,
     /// Overrides the config's forward-progress watchdog for this run.
     pub watchdog: Option<WatchdogConfig>,
-    /// Attribute host wall-time per shard (work vs. barrier-wait vs.
-    /// merge) into [`Metrics::host_profile`] on sharded runs. Purely
-    /// observational — simulated results are bit-identical either way —
-    /// and ignored by runs on one shard (serial mode, or a trace, history
-    /// or WarpTM-EL run): there are no barriers to attribute.
-    pub profile: bool,
 }
 
 impl RunOptions {
-    /// Sets the host-thread execution mode.
-    #[must_use]
-    pub fn exec(mut self, exec: ExecMode) -> Self {
-        self.exec = exec;
-        self
-    }
-
     /// Attaches an event-trace recorder.
     #[must_use]
     pub fn trace(mut self, rec: Recorder) -> Self {
@@ -100,13 +79,6 @@ impl RunOptions {
     #[must_use]
     pub fn watchdog(mut self, wd: WatchdogConfig) -> Self {
         self.watchdog = Some(wd);
-        self
-    }
-
-    /// Enables host-side shard profiling (see [`RunOptions::profile`]).
-    #[must_use]
-    pub fn profile(mut self, on: bool) -> Self {
-        self.profile = on;
         self
     }
 }
@@ -223,8 +195,6 @@ impl<'a> Sim<'a> {
             None => self.cfg,
         };
         let mut engine = Engine::new(workload, self.system, cfg)?;
-        engine.set_exec(opts.exec);
-        engine.set_host_profiling(opts.profile);
         if let Some(rec) = &opts.trace {
             engine.attach_recorder(rec.clone());
         }
@@ -372,83 +342,5 @@ mod tests {
             .metrics
             .expect("metrics");
         assert_eq!(plain, with_token);
-    }
-
-    #[test]
-    fn profiled_sharded_run_is_observational_and_attributes_time() {
-        use workloads::suite::{Benchmark, Scale};
-        let cfg = GpuConfig::tiny_test();
-        let w = Benchmark::Atm.build(Scale::Fast);
-        let sim = Sim::new(&cfg);
-        let serial = sim.run(w.as_ref()).expect("serial run");
-        let profiled = sim
-            .run_with(
-                w.as_ref(),
-                &RunOptions::default()
-                    .exec(ExecMode::Sharded { threads: 2 })
-                    .profile(true),
-            )
-            .expect("profiled sharded run")
-            .metrics
-            .expect("metrics");
-        // Simulated results are bit-identical; the profile rides along
-        // outside the determinism contract.
-        assert_eq!(serial, profiled);
-        assert!(serial.host_profile.is_empty(), "serial runs never profile");
-        let p = &profiled.host_profile;
-        assert_eq!(p.shards.len(), 2, "one attribution block per shard");
-        assert!(p.windows > 0, "parallel phases must have been sampled");
-        assert!(
-            p.shards.iter().any(|s| s.total_ns() > 0),
-            "sampled windows must attribute some time"
-        );
-        // An unprofiled sharded run stays empty: the off path is inert.
-        let unprofiled = sim
-            .run_with(
-                w.as_ref(),
-                &RunOptions::default().exec(ExecMode::Sharded { threads: 2 }),
-            )
-            .expect("unprofiled sharded run")
-            .metrics
-            .expect("metrics");
-        assert!(unprofiled.host_profile.is_empty());
-        // One-shard runs have no barriers: a profiled serial run, and a
-        // profiled sharded run that a trace holds on one shard, both
-        // return the serial metrics and an empty profile.
-        let one_shard = [
-            RunOptions::default().exec(ExecMode::Serial).profile(true),
-            RunOptions::default()
-                .exec(ExecMode::Sharded { threads: 2 })
-                .trace(sim_core::Recorder::recording(1 << 16))
-                .profile(true),
-        ];
-        for opts in &one_shard {
-            let m = sim
-                .run_with(w.as_ref(), opts)
-                .expect("profiled one-shard run")
-                .metrics
-                .expect("metrics");
-            assert_eq!(m, serial);
-            assert!(m.host_profile.is_empty(), "one shard never profiles");
-            assert_eq!(m.host_profile.windows, 0);
-        }
-    }
-
-    #[test]
-    fn sharded_option_is_observational() {
-        use workloads::suite::{Benchmark, Scale};
-        let cfg = GpuConfig::tiny_test();
-        let w = Benchmark::Atm.build(Scale::Fast);
-        let sim = Sim::new(&cfg);
-        let serial = sim.run(w.as_ref()).expect("serial run");
-        let sharded = sim
-            .run_with(
-                w.as_ref(),
-                &RunOptions::default().exec(ExecMode::Sharded { threads: 2 }),
-            )
-            .expect("sharded run")
-            .metrics
-            .expect("metrics");
-        assert_eq!(serial, sharded, "sharding must not perturb the simulation");
     }
 }

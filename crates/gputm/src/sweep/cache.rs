@@ -21,8 +21,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// histogram, and the intra-warp/validation abort tallies. v3 added the
 /// watchdog fields (`degraded`, `watchdog_escalations`,
 /// `serialized_commits`). v4 added the host-profile attribution lines
-/// (`host_profile/*`, present only for profiled sharded runs). v5 added
-/// the memory-tier fields (`l1_sector_misses`, `llc_sector_misses`,
+/// (`host_profile/*`, written by profiled sharded runs, which no longer
+/// exist; the parser ignores them). v5 added the memory-tier fields (`l1_sector_misses`, `llc_sector_misses`,
 /// `dram_accesses`, `dram_queue_stalls`, `partition_imbalance`).
 const FORMAT: &str = "getm-metrics-v5";
 
@@ -247,23 +247,6 @@ pub fn serialize_metrics(m: &Metrics) -> String {
     for (cat, bytes) in &m.xbar_by_category {
         s.push_str(&format!("xbar_by_category/{cat}={bytes}\n"));
     }
-    // Host profile (profiled sharded runs only): one work:barrier:merge
-    // triple per shard. Host wall-clock is outside the determinism
-    // contract, but a recalled cell should still answer "where did the
-    // host threads spend their time" without a re-run.
-    if !m.host_profile.is_empty() {
-        let shards: Vec<String> = m
-            .host_profile
-            .shards
-            .iter()
-            .map(|s| format!("{}:{}:{}", s.work_ns, s.barrier_ns, s.merge_ns))
-            .collect();
-        s.push_str(&format!("host_profile/shards={}\n", shards.join(",")));
-        s.push_str(&format!(
-            "host_profile/windows={}\n",
-            m.host_profile.windows
-        ));
-    }
     // `check` is always last: the parser treats it as an end-of-entry
     // marker, so truncation at any earlier line boundary is detected.
     match &m.check {
@@ -309,25 +292,6 @@ pub fn parse_metrics(text: &str) -> Option<Metrics> {
             }
             "metadata_latency/max" => {
                 hist_max = value.parse().ok()?;
-                continue;
-            }
-            "host_profile/shards" => {
-                m.host_profile.shards = value
-                    .split(',')
-                    .map(|triple| {
-                        let mut parts = triple.split(':');
-                        let mut next = || parts.next()?.parse().ok();
-                        Some(crate::metrics::ShardProfile {
-                            work_ns: next()?,
-                            barrier_ns: next()?,
-                            merge_ns: next()?,
-                        })
-                    })
-                    .collect::<Option<Vec<_>>>()?;
-                continue;
-            }
-            "host_profile/windows" => {
-                m.host_profile.windows = value.parse().ok()?;
                 continue;
             }
             _ => {}
@@ -543,44 +507,29 @@ mod tests {
     }
 
     #[test]
-    fn host_profile_round_trips_by_value() {
-        use crate::metrics::{HostProfile, ShardProfile};
-        let m = Metrics {
-            host_profile: HostProfile {
-                shards: vec![
-                    ShardProfile {
-                        work_ns: 12_345,
-                        barrier_ns: 678,
-                        merge_ns: 90,
-                    },
-                    ShardProfile {
-                        work_ns: 11_111,
-                        barrier_ns: 2_222,
-                        merge_ns: 0,
-                    },
-                ],
-                windows: 4096,
-            },
-            check: Some(Ok(())),
-            ..Metrics::default()
-        };
+    fn v5_entry_with_host_profile_lines_still_loads() {
+        // Profiled sharded runs wrote `host_profile/*` lines into v5
+        // entries. The engine no longer shards, but those entries stay
+        // warm: the lines are ignored and the simulated metrics load.
+        let dir = std::env::temp_dir().join(format!(
+            "getm-cache-hostprof-{}-{:p}",
+            std::process::id(),
+            &FORMAT
+        ));
+        let cache = ResultCache::new(&dir);
+        let m = sample_metrics();
         let text = serialize_metrics(&m);
-        assert!(text.contains("host_profile/shards=12345:678:90,11111:2222:0"));
-        assert!(text.contains("host_profile/windows=4096"));
-        // HostProfile's PartialEq is always-true by design, so assert the
-        // recovered *values* directly rather than via Metrics equality.
-        let parsed = parse_metrics(&text).expect("parse");
-        assert_eq!(parsed.host_profile.shards, m.host_profile.shards);
-        assert_eq!(parsed.host_profile.windows, 4096);
-
-        // An unprofiled run writes no host_profile lines at all.
-        let plain = serialize_metrics(&Metrics::default());
-        assert!(!plain.contains("host_profile/"));
-        assert!(parse_metrics(&plain).unwrap().host_profile.is_empty());
-
-        // A malformed triple is corruption: the whole entry is a miss.
-        let bad = text.replace("12345:678:90", "12345:678");
-        assert!(parse_metrics(&bad).is_none());
+        assert!(!text.contains("host_profile/"));
+        let old = text.replace(
+            "check=",
+            "host_profile/shards=12345:678:90,11111:2222:0\nhost_profile/windows=4096\ncheck=",
+        );
+        std::fs::create_dir_all(cache.dir()).unwrap();
+        std::fs::write(cache.dir().join("feedface.metrics"), old).unwrap();
+        let loaded = cache.load("feedface").expect("v5 entry loads");
+        assert_eq!(loaded, m);
+        assert!(loaded.host_profile.shards.is_empty());
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

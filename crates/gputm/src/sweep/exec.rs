@@ -248,10 +248,7 @@ fn run_attempt(cell: &CellSpec, opts: &SweepOptions) -> Result<Metrics, FailureK
         });
         (disarm, monitor, limit)
     });
-    // The execution mode is observational: it changes neither the
-    // metrics nor the cache key.
     let run = RunOptions {
-        exec: opts.cell_exec,
         cancel: token,
         ..RunOptions::default()
     };

@@ -218,11 +218,6 @@ pub struct SweepOptions {
     /// if attached, still serves whatever it holds). Journaling itself is
     /// automatic whenever a cache is attached.
     pub resume: bool,
-    /// How many host threads advance each cell's engine (default
-    /// serial). Execution mode is observational — sharded cells produce
-    /// bit-identical metrics and share cache entries with serial ones —
-    /// so this is purely a wall-clock knob.
-    pub cell_exec: crate::exec::ExecMode,
     /// Campaign telemetry: cell-lifecycle and throughput events fanned out
     /// to the attached sinks (JSONL, live dashboard, Prometheus snapshot).
     /// Defaults to [`Telemetry::off`] — disabled emission is a branch on a
@@ -287,14 +282,6 @@ impl SweepOptions {
     #[must_use]
     pub fn resume(mut self, on: bool) -> Self {
         self.resume = on;
-        self
-    }
-
-    /// Sets every cell's intra-cell execution mode (see
-    /// [`SweepOptions::cell_exec`]).
-    #[must_use]
-    pub fn cell_exec(mut self, exec: crate::exec::ExecMode) -> Self {
-        self.cell_exec = exec;
         self
     }
 

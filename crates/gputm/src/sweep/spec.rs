@@ -23,9 +23,7 @@ pub struct CellSpec {
 }
 
 impl CellSpec {
-    /// A fully specified cell. How many host threads run it is not part
-    /// of the cell: execution mode never changes results, so it is chosen
-    /// per run ([`CellSpec::run_with`], [`super::SweepOptions::cell_exec`]).
+    /// A fully specified cell.
     pub fn new(benchmark: Benchmark, scale: Scale, system: TmSystem, cfg: GpuConfig) -> Self {
         CellSpec {
             benchmark,
@@ -74,7 +72,7 @@ impl CellSpec {
         self.run_with(&RunOptions::default())
     }
 
-    /// Like [`CellSpec::run`], under `opts`: the execution mode, a cancel
+    /// Like [`CellSpec::run`], under `opts`: a cancel
     /// token a watchdog can raise to interrupt a runaway cell, a trace
     /// recorder. Verification is [`CellSpec::run_verified`]'s job.
     ///

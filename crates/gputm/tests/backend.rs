@@ -19,8 +19,8 @@ fn small_programs(seed: u64) -> Vec<TxProgram> {
 }
 
 /// `SimBackend::execute` must produce exactly the metrics a direct
-/// `Sim::run_with` produces for the equivalent `RunOptions` — the adapter
-/// adds an API, not a behavior.
+/// `Sim::run_with` produces — the adapter adds an API, not a behavior,
+/// and the TL2 thread count does not reach the simulator.
 #[test]
 fn sim_backend_metrics_match_direct_sim() {
     let cfg = GpuConfig::tiny_test();
@@ -34,13 +34,9 @@ fn sim_backend_metrics_match_direct_sim() {
                     .expect("sim backend run completes")
                     .metrics;
 
-                let mut ropts = RunOptions::default();
-                if threads > 1 {
-                    ropts = ropts.exec(ExecMode::Sharded { threads });
-                }
                 let direct = Sim::new(&cfg)
                     .system(system)
-                    .run_with(prog.workload(), &ropts)
+                    .run_with(prog.workload(), &RunOptions::default())
                     .expect("direct sim run completes")
                     .metrics
                     .expect("completed runs carry metrics");

@@ -1,12 +1,11 @@
 //! Integration tests for campaign telemetry: the event stream a sweep
 //! emits is coherent (one terminal event per cell, bracketed by campaign
-//! start/finish), equivalent across execution modes modulo timing fields,
+//! start/finish), equivalent across repeated runs modulo timing fields,
 //! and schema-valid JSONL on disk.
 
 use gputm::config::{GpuConfig, TmSystem};
 use gputm::sweep::{run_sweep_report, ExperimentSpec, ResultCache, SweepOptions};
 use gputm::telemetry::{CampaignEvent, JsonlSink, MemorySink, Telemetry};
-use gputm::ExecMode;
 use std::path::PathBuf;
 use workloads::suite::Benchmark;
 
@@ -56,12 +55,11 @@ fn normalized(ev: &CampaignEvent) -> CampaignEvent {
 }
 
 /// Runs the small grid on one sweep worker with a capture sink attached,
-/// using `exec` for every cell, and returns (metrics, events).
-fn run_captured(exec: ExecMode) -> (Vec<gputm::Metrics>, Vec<CampaignEvent>) {
+/// and returns (metrics, events).
+fn run_captured() -> (Vec<gputm::Metrics>, Vec<CampaignEvent>) {
     let (sink, captured) = MemorySink::new();
     let opts = SweepOptions::new()
         .threads(1)
-        .cell_exec(exec)
         .telemetry(Telemetry::to_sinks(vec![Box::new(sink)]));
     let report = run_sweep_report(&small_spec(), &opts);
     assert!(report.is_complete(), "sweep: {:?}", report.failures);
@@ -75,30 +73,29 @@ fn run_captured(exec: ExecMode) -> (Vec<gputm::Metrics>, Vec<CampaignEvent>) {
     (metrics, events)
 }
 
-/// The acceptance criterion of the telemetry tentpole: a serial and a
-/// sharded run of the same grid produce identical metrics and equivalent
+/// Two runs of the same grid produce identical metrics and equivalent
 /// event sequences modulo timing fields.
 #[test]
-fn serial_and_sharded_sweeps_emit_equivalent_streams() {
-    let (serial_metrics, serial_events) = run_captured(ExecMode::Serial);
-    let (sharded_metrics, sharded_events) = run_captured(ExecMode::Sharded { threads: 2 });
+fn repeated_sweeps_emit_equivalent_streams() {
+    let (first_metrics, first_events) = run_captured();
+    let (second_metrics, second_events) = run_captured();
 
-    assert_eq!(serial_metrics, sharded_metrics, "determinism contract");
+    assert_eq!(first_metrics, second_metrics, "determinism contract");
     assert_eq!(
-        serial_events.len(),
-        sharded_events.len(),
-        "event counts diverged:\n  serial: {:?}\n  sharded: {:?}",
-        serial_events
+        first_events.len(),
+        second_events.len(),
+        "event counts diverged:\n  first: {:?}\n  second: {:?}",
+        first_events
             .iter()
             .map(CampaignEvent::kind)
             .collect::<Vec<_>>(),
-        sharded_events
+        second_events
             .iter()
             .map(CampaignEvent::kind)
             .collect::<Vec<_>>(),
     );
-    for (s, p) in serial_events.iter().zip(&sharded_events) {
-        assert_eq!(normalized(s), normalized(p));
+    for (a, b) in first_events.iter().zip(&second_events) {
+        assert_eq!(normalized(a), normalized(b));
     }
 }
 
@@ -108,7 +105,7 @@ fn serial_and_sharded_sweeps_emit_equivalent_streams() {
 /// each cell starts only after the previous cell's terminal event.
 #[test]
 fn stream_is_coherent() {
-    let (_, events) = run_captured(ExecMode::Serial);
+    let (_, events) = run_captured();
     let total = small_spec().len();
 
     assert!(matches!(

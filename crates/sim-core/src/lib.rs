@@ -18,6 +18,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod cancel;
 pub mod cycle;

@@ -23,6 +23,7 @@
 //! GPU TM systems promises.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 mod exec;
 mod mem;

@@ -21,6 +21,7 @@
 //! cycles they consume so the timing model can charge them faithfully.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod bloom;
 pub mod coalesce;

@@ -24,6 +24,7 @@
 //! machines; the `gputm` engine supplies interconnect timing.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod eapg;
 pub mod tcd;

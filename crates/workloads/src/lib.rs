@@ -23,6 +23,7 @@
 //! structural integrity) over the final committed memory.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod apriori;
 pub mod atm;
