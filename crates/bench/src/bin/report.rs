@@ -188,7 +188,7 @@ mod tests {
         let old = ResultCache::new(&old_dir);
         old.store("gone", &m).unwrap();
         // A stale-format OLD entry is skipped, not failed.
-        let stale = serialize_metrics(&m).replacen("v5", "v4", 1);
+        let stale = serialize_metrics(&m).replacen("v6", "v5", 1);
         std::fs::write(old_dir.join("stale.metrics"), stale).unwrap();
         std::fs::create_dir_all(&new_dir).unwrap();
 

@@ -138,6 +138,23 @@ impl TxLogs {
         self.writes.is_empty()
     }
 
+    /// The write log merged per word, in ascending address order: each
+    /// word's final value and how many times the transaction wrote it.
+    /// `buf` is caller-owned scratch, reused across calls.
+    pub fn merged_writes<'b>(
+        &self,
+        buf: &'b mut Vec<(u64, u64)>,
+    ) -> impl Iterator<Item = (Addr, u64, u32)> + 'b {
+        buf.clear();
+        buf.extend(self.writes.iter().map(|e| (e.addr.0, e.value)));
+        // A stable sort keeps each address run in program order, so the
+        // run's last element is the word's final value.
+        buf.sort_by_key(|&(a, _)| a);
+        let buf: &'b [(u64, u64)] = buf;
+        buf.chunk_by(|x, y| x.0 == y.0)
+            .map(|run| (Addr(run[0].0), run[run.len() - 1].1, run.len() as u32))
+    }
+
     /// Iterates `(granule, #writes)` pairs in unspecified order.
     pub fn write_counts(&self) -> impl Iterator<Item = (Granule, u32)> + '_ {
         self.write_counts.iter().map(|(&g, &c)| (Granule(g), c))
@@ -229,6 +246,18 @@ mod tests {
         assert!(!l.read_granule(Granule(1), &g));
         l.record_write(Addr(0), 8, &g);
         assert!(!l.is_read_only());
+    }
+
+    #[test]
+    fn merged_writes_keep_the_last_value_per_word() {
+        let g = geom();
+        let mut l = TxLogs::new();
+        l.record_write(Addr(16), 1, &g);
+        l.record_write(Addr(8), 2, &g);
+        l.record_write(Addr(16), 3, &g);
+        let mut buf = Vec::new();
+        let merged: Vec<_> = l.merged_writes(&mut buf).collect();
+        assert_eq!(merged, vec![(Addr(8), 2, 1), (Addr(16), 3, 2)]);
     }
 
     #[test]

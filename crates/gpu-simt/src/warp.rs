@@ -40,10 +40,6 @@ pub struct ThreadSlot {
     pub logs: TxLogs,
     /// Whether the thread is inside a transaction.
     pub in_tx: bool,
-    /// Committed transactions executed by this thread.
-    pub commits: u64,
-    /// Aborts suffered by this thread.
-    pub aborts: u64,
 }
 
 impl std::fmt::Debug for ThreadSlot {
@@ -66,8 +62,6 @@ impl ThreadSlot {
             staged_op: None,
             logs: TxLogs::new(),
             in_tx: false,
-            commits: 0,
-            aborts: 0,
         }
     }
 
@@ -226,16 +220,6 @@ impl Warp {
             .map(|(i, _)| i as u32)
             .collect()
     }
-
-    /// Total commits across lanes.
-    pub fn total_commits(&self) -> u64 {
-        self.threads.iter().map(|t| t.commits).sum()
-    }
-
-    /// Total aborts across lanes.
-    pub fn total_aborts(&self) -> u64 {
-        self.threads.iter().map(|t| t.aborts).sum()
-    }
 }
 
 #[cfg(test)]
@@ -306,16 +290,6 @@ mod tests {
         assert_eq!(t.staged_op, None);
         // Program rewound to just after TxBegin.
         assert_eq!(t.fetch_op(), Op::TxStore(Addr(0), 1));
-    }
-
-    #[test]
-    fn commit_abort_counters() {
-        let mut w = warp_of(vec![vec![Op::Done], vec![Op::Done]]);
-        w.threads[0].commits = 3;
-        w.threads[1].commits = 2;
-        w.threads[1].aborts = 5;
-        assert_eq!(w.total_commits(), 5);
-        assert_eq!(w.total_aborts(), 5);
     }
 
     #[test]

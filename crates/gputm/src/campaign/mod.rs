@@ -24,9 +24,9 @@
 //!   (`crate::sweep::ledger`), whose fsynced append-only journal (guarded
 //!   by a pid-stamped lock file) records each completed cell, so a
 //!   SIGKILLed coordinator restarted with `resume` recalls finished
-//!   cells from the cache and hands out only the remainder. Only the
-//!   scheduling differs: leases over a socket here, work-stealing threads
-//!   in-process.
+//!   cells from the cache and hands out only the remainder. Both hand out
+//!   unfinished cells in spec order; only the transport differs: leases
+//!   over a socket here, threads on a shared cursor in-process.
 //! * **A cell runs, and retries, the same way everywhere.** Workers run
 //!   each leased cell through the in-process executor's own cell path,
 //!   retries under the sweep's failure policy included, and report each

@@ -1,25 +1,21 @@
 //! Core-side execution: warp scheduling, instruction issue, transactional
 //! access handling per TM system, reply processing, and the per-protocol
 //! warp commit sequences.
-//!
-//! Everything here runs on a [`CoreCtx`], which borrows the cores and the
-//! engine state the core side touches.
 
-use super::ctx::CoreCtx;
-use super::{CommitCtx, DownMsg, Pending, UpMsg};
+use super::{CommitCtx, DownMsg, Engine, Pending, UpMsg};
 use crate::config::TmSystem;
 use fglock::AtomicOp;
 use getm::{AccessKind as GetmKind, AccessRequest, CommitEntry, ReplyKind};
 use gpu_mem::{Addr, Granule};
 use gpu_simt::program::OpKind as K;
-use gpu_simt::{coalesce_by_granule, Op, OpResult, ThreadStatus};
+use gpu_simt::{coalesce_by_granule, LaneList, Op, OpResult, ThreadStatus};
 use sim_core::history::NO_TXN;
 use sim_core::trace::{AbortCause, SimEvent, Stamp};
 use sim_core::SimError;
-use warptm::eapg::EapgDecision;
+use warptm::eapg::{self, EapgDecision};
 use warptm::ValidationJob;
 
-impl CoreCtx<'_> {
+impl Engine {
     // ===================== issue =====================
 
     /// Refills finished warp slots and issues one instruction on core `c`.
@@ -40,7 +36,7 @@ impl CoreCtx<'_> {
         let serialized = self.wd.mode == super::WdMode::Serialized;
         let priority = self.wd.priority;
         let nwarps = self.cores[c].warps.len();
-        let mut ready = std::mem::take(self.ready_buf);
+        let mut ready = std::mem::take(&mut self.ready_buf);
         ready.clear();
         ready.resize(nwarps, false);
         for (w, ready_slot) in ready.iter_mut().enumerate() {
@@ -69,7 +65,7 @@ impl CoreCtx<'_> {
             });
             let Some(op) = leader else { continue };
             if op == Op::TxBegin {
-                if *self.rollover_pending {
+                if self.rollover_pending {
                     continue; // hold new transactions during rollover
                 }
                 if serialized && priority != Some(slot.gwid.0 as u64) {
@@ -92,7 +88,7 @@ impl CoreCtx<'_> {
         );
         let pick = sched.pick(|w| ready[w]);
         self.cores[c].sched = sched;
-        *self.ready_buf = ready;
+        self.ready_buf = ready;
         if let Some(w) = pick {
             self.issue_warp(c, w)?;
         }
@@ -107,16 +103,14 @@ impl CoreCtx<'_> {
             if !finished {
                 continue;
             }
-            let slot = self.cores[c].warps[w].take().expect("checked above");
-            self.cores[c].retired_commits += slot.warp.total_commits();
-            self.cores[c].retired_aborts += slot.warp.total_aborts();
-            *self.live_warps -= 1;
+            self.cores[c].warps[w] = None;
+            self.live_warps -= 1;
             if let Some(progs) = self.cores[c].pending_warps.pop_front() {
                 let new_slot = super::make_slot(
                     progs,
                     c,
                     w,
-                    self.cfg,
+                    &self.cfg,
                     &sim_core::DetRng::seeded(self.cfg.seed ^ 0x517A),
                 );
                 self.cores[c].warps[w] = Some(new_slot);
@@ -251,9 +245,8 @@ impl CoreCtx<'_> {
         // Phase 1: intra-warp conflict detection + logging (core-local).
         // The survivor list is engine-owned scratch, taken out for the call
         // because the routing helpers below need `&mut self` alongside it.
-        let mut survivors = std::mem::take(self.survivors_buf);
+        let mut survivors = std::mem::take(&mut self.survivors_buf);
         survivors.clear();
-        let mut lanes_aborted = false;
         let gwid = {
             let slot = self.cores[c].warps[w].as_mut().expect("warp");
             for &l in group {
@@ -285,10 +278,7 @@ impl CoreCtx<'_> {
                 t.consume_op();
                 if conflict {
                     slot.warp.tx_stack.abort_lane(l);
-                    t.status = ThreadStatus::Aborted;
-                    t.aborts += 1;
-                    lanes_aborted = true;
-                    self.hist.abort(slot.gwid.0, l, self.now.raw());
+                    slot.abort_attempt(l, &self.hist, self.now.raw());
                     continue;
                 }
                 if is_store {
@@ -300,21 +290,8 @@ impl CoreCtx<'_> {
             }
             slot.gwid.0
         };
-        if lanes_aborted {
-            let n = group.len() as u64 - survivors.len() as u64;
-            self.stats.aborts += n;
-            self.stats.aborts_intra_warp += n;
-            let now = self.now.raw();
-            self.rec.emit(|| {
-                (
-                    Stamp::warp(now, c as u32, gwid),
-                    SimEvent::TxAbort {
-                        cause: AbortCause::IntraWarp,
-                        lanes: n as u32,
-                    },
-                )
-            });
-        }
+        let aborted = (group.len() - survivors.len()) as u32;
+        self.book_aborts(c, gwid, AbortCause::IntraWarp, aborted);
 
         // Phase 2: protocol routing.
         match self.system {
@@ -341,8 +318,8 @@ impl CoreCtx<'_> {
             }
             TmSystem::FgLock => unreachable!("tx ops in lock mode"),
         }
-        *self.survivors_buf = survivors;
-        if lanes_aborted {
+        self.survivors_buf = survivors;
+        if aborted > 0 {
             self.maybe_warp_commit(c, w);
         }
         Ok(())
@@ -356,112 +333,104 @@ impl CoreCtx<'_> {
         survivors: &[(u32, Addr, u64)],
         is_store: bool,
     ) {
-        if survivors.is_empty() {
-            return;
-        }
-        let geom = self.geom;
         let (wid, warpts) = {
             let slot = self.cores[c].warps[w].as_ref().expect("warp");
             (slot.gwid, slot.warp.warpts)
         };
-        let mut by_granule = std::mem::take(self.group_buf);
+        let kind = if is_store {
+            GetmKind::Store
+        } else {
+            GetmKind::Load
+        };
+        let mut by_granule = std::mem::take(&mut self.group_buf);
         coalesce_by_granule(
             survivors.iter().map(|&(l, a, _)| (l, a)),
-            &geom,
+            &self.geom,
             &mut by_granule,
-            self.lane_pool,
+            &mut self.lane_pool,
         );
-        let now = self.now;
-        for (g, lanes) in by_granule.drain(..) {
-            let part = geom.partition_of_granule(g) as usize;
-            let addr = lanes[0].1;
-            {
-                let slot = self.cores[c].warps[w].as_mut().expect("warp");
-                for &(l, _) in &lanes {
-                    if is_store {
-                        // GPU stores are fire-and-forget; the eager check
-                        // returns no value, so the lane keeps executing and
-                        // a conflict aborts it when the reply lands. The
-                        // commit point still waits for every verdict.
-                        slot.pending_stores[l as usize] += 1;
-                    } else {
-                        slot.warp.threads[l as usize].status = ThreadStatus::Blocked;
-                    }
-                }
-                slot.warp.outstanding += 1;
-            }
-            let token = self.pending.insert(Pending::Access {
-                core: c,
-                warp: w,
-                lanes,
-                is_store,
-                is_tx: true,
-                issued: now,
-                versions: Vec::new(),
-            });
-            self.send_up(
-                part,
-                getm::msg::ACCESS_REQUEST_BYTES,
+        for (granule, lanes) in by_granule.drain(..) {
+            self.request_granule(c, w, lanes, is_store, true, |addr, token| {
                 UpMsg::GetmAccess(AccessRequest {
-                    granule: g,
+                    granule,
                     addr,
                     wid,
                     warpts,
-                    kind: if is_store {
-                        GetmKind::Store
-                    } else {
-                        GetmKind::Load
-                    },
+                    kind,
                     token,
-                }),
-                "tm-access",
-            );
+                })
+            });
         }
-        *self.group_buf = by_granule;
+        self.group_buf = by_granule;
     }
 
     /// WarpTM / EL: loads fetch values (and TCD stamps) from the LLC.
     fn wtm_send_loads(&mut self, c: usize, w: usize, survivors: &[(u32, Addr, u64)]) {
-        if survivors.is_empty() {
-            return;
-        }
-        let geom = self.geom;
-        let mut by_granule = std::mem::take(self.group_buf);
+        let mut by_granule = std::mem::take(&mut self.group_buf);
         coalesce_by_granule(
             survivors.iter().map(|&(l, a, _)| (l, a)),
-            &geom,
+            &self.geom,
             &mut by_granule,
-            self.lane_pool,
+            &mut self.lane_pool,
         );
-        let now = self.now;
-        for (g, lanes) in by_granule.drain(..) {
-            let part = geom.partition_of_granule(g) as usize;
-            let addr = lanes[0].1;
-            {
-                let slot = self.cores[c].warps[w].as_mut().expect("warp");
-                for &(l, _) in &lanes {
-                    slot.warp.threads[l as usize].status = ThreadStatus::Blocked;
-                }
-                slot.warp.outstanding += 1;
-            }
-            let token = self.pending.insert(Pending::Access {
-                core: c,
-                warp: w,
-                lanes,
-                is_store: false,
-                is_tx: true,
-                issued: now,
-                versions: Vec::new(),
+        for (_, lanes) in by_granule.drain(..) {
+            self.request_granule(c, w, lanes, false, true, |addr, token| UpMsg::TxLoadWtm {
+                addr,
+                token,
             });
-            self.send_up(part, 16, UpMsg::TxLoadWtm { addr, token }, "tm-access");
         }
-        *self.group_buf = by_granule;
+        self.group_buf = by_granule;
+    }
+
+    /// Sends one request for `lanes` (all in one granule) of warp `w` on
+    /// core `c` to the granule's partition. Loads block their lanes until
+    /// the reply; a GETM store returns no value, so its lanes keep
+    /// executing and only count one more verdict in flight (a conflict
+    /// aborts them when the reply lands, and the commit point waits for
+    /// every verdict). `msg` builds the message from the lanes'
+    /// representative address and the pending access's token.
+    fn request_granule(
+        &mut self,
+        c: usize,
+        w: usize,
+        lanes: LaneList,
+        is_store: bool,
+        is_tx: bool,
+        msg: impl FnOnce(Addr, u64) -> UpMsg,
+    ) {
+        let slot = self.cores[c].warps[w].as_mut().expect("warp");
+        for &(l, _) in &lanes {
+            if is_store {
+                slot.pending_stores[l as usize] += 1;
+            } else {
+                slot.warp.threads[l as usize].status = ThreadStatus::Blocked;
+            }
+        }
+        slot.warp.outstanding += 1;
+        let addr = lanes[0].1;
+        let part = self.geom.partition_of_granule(self.geom.granule_of(addr)) as usize;
+        let token = self.pending.insert(Pending::Access {
+            core: c,
+            warp: w,
+            lanes,
+            is_store,
+            is_tx,
+            issued: self.now,
+            versions: Vec::new(),
+        });
+        let category = if is_tx { "tm-access" } else { "load" };
+        self.send_up(
+            part,
+            getm::msg::ACCESS_REQUEST_BYTES,
+            msg(addr, token),
+            category,
+        );
     }
 
     fn issue_plain_load(&mut self, c: usize, w: usize, group: &[u32]) -> Result<(), SimError> {
         let geom = self.geom;
         let use_l1 = self.system.is_tm();
-        let mut by_granule = std::mem::take(self.group_buf);
+        let mut by_granule = std::mem::take(&mut self.group_buf);
         {
             let slot = self.cores[c].warps[w].as_mut().expect("warp");
             let threads = &mut slot.warp.threads;
@@ -483,7 +452,7 @@ impl CoreCtx<'_> {
                 t.consume_op();
                 (l, a)
             });
-            coalesce_by_granule(loads, &geom, &mut by_granule, self.lane_pool);
+            coalesce_by_granule(loads, &geom, &mut by_granule, &mut self.lane_pool);
         }
         let now = self.now;
         for (g, mut lanes) in by_granule.drain(..) {
@@ -513,27 +482,12 @@ impl CoreCtx<'_> {
                 self.lane_pool.push(lanes);
                 continue;
             }
-            let part = geom.partition_of_granule(g) as usize;
-            let addr = lanes[0].1;
-            {
-                let slot = self.cores[c].warps[w].as_mut().expect("warp");
-                for &(l, _) in &lanes {
-                    slot.warp.threads[l as usize].status = ThreadStatus::Blocked;
-                }
-                slot.warp.outstanding += 1;
-            }
-            let token = self.pending.insert(Pending::Access {
-                core: c,
-                warp: w,
-                lanes,
-                is_store: false,
-                is_tx: false,
-                issued: now,
-                versions: Vec::new(),
+            self.request_granule(c, w, lanes, false, false, |addr, token| UpMsg::PlainLoad {
+                addr,
+                token,
             });
-            self.send_up(part, 16, UpMsg::PlainLoad { addr, token }, "load");
         }
-        *self.group_buf = by_granule;
+        self.group_buf = by_granule;
         Ok(())
     }
 
@@ -567,7 +521,7 @@ impl CoreCtx<'_> {
             if self.system.is_tm() {
                 self.cores[c].l1.invalidate(geom.line_of(a));
             }
-            self.send_up(part, 16, UpMsg::PlainStore { addr: a, value: v }, "store");
+            self.send_up(part, 16, UpMsg::PlainStore { addr: a }, "store");
         }
         Ok(())
     }
@@ -611,12 +565,12 @@ impl CoreCtx<'_> {
     /// Handles one down-crossbar delivery at core `c`.
     pub(crate) fn handle_down(&mut self, c: usize, msg: DownMsg) -> Result<(), SimError> {
         match msg {
-            DownMsg::GetmReply(reply, values) => self.on_getm_reply(c, reply, values),
+            DownMsg::GetmReply(reply, values) => self.on_getm_reply(reply, values),
             DownMsg::LoadReply {
                 token,
                 values,
                 last_write,
-            } => self.on_load_reply(c, token, values, last_write),
+            } => self.on_load_reply(token, values, last_write),
             DownMsg::AtomicReply { token, old } => self.on_atomic_reply(token, old),
             DownMsg::Verdict {
                 token,
@@ -632,7 +586,6 @@ impl CoreCtx<'_> {
 
     fn on_getm_reply(
         &mut self,
-        _c: usize,
         reply: getm::AccessReply,
         values: Vec<u64>,
     ) -> Result<(), SimError> {
@@ -685,6 +638,7 @@ impl CoreCtx<'_> {
             });
         };
         slot.warp.outstanding -= 1;
+        let gwid = slot.gwid.0;
         if is_store {
             for &(l, _) in &lanes {
                 slot.pending_stores[l as usize] = slot.pending_stores[l as usize].saturating_sub(1);
@@ -725,8 +679,7 @@ impl CoreCtx<'_> {
             }
             ReplyKind::Abort { cause_ts, cause } => {
                 slot.warp.abort_cause_ts = slot.warp.abort_cause_ts.max(cause_ts);
-                let gwid = slot.gwid.0;
-                let mut aborted = 0u32;
+                let mut aborted = 0;
                 // Hot-spot attribution for the livelock report, tallied
                 // only while the watchdog is alert (zero cost otherwise).
                 let wd_alert = self.wd.alert();
@@ -741,27 +694,13 @@ impl CoreCtx<'_> {
                         continue;
                     }
                     slot.warp.tx_stack.abort_lane(l);
-                    let t = &mut slot.warp.threads[li];
-                    t.status = ThreadStatus::Aborted;
-                    t.aborts += 1;
-                    self.stats.aborts += 1;
+                    slot.abort_attempt(l, &self.hist, now);
                     aborted += 1;
                     if wd_alert {
                         self.wd.note_abort_addr(a.0);
                     }
-                    self.hist.abort(gwid, l, now);
                 }
-                if aborted > 0 {
-                    self.rec.emit(|| {
-                        (
-                            Stamp::warp(now, core as u32, gwid),
-                            SimEvent::TxAbort {
-                                cause,
-                                lanes: aborted,
-                            },
-                        )
-                    });
-                }
+                self.book_aborts(core, gwid, cause, aborted);
             }
         }
         self.recycle_reply_buffers(lanes, values);
@@ -780,7 +719,6 @@ impl CoreCtx<'_> {
 
     fn on_load_reply(
         &mut self,
-        _c: usize,
         token: u64,
         values: Vec<u64>,
         last_write: Option<sim_core::Cycle>,
@@ -823,12 +761,8 @@ impl CoreCtx<'_> {
                     // flight: abort instead of delivering.
                     slot.doomed[li] = false;
                     slot.warp.tx_stack.abort_lane(l);
-                    let t = &mut slot.warp.threads[li];
-                    t.status = ThreadStatus::Aborted;
-                    t.aborts += 1;
-                    self.stats.aborts += 1;
+                    slot.abort_attempt(l, &self.hist, self.now.raw());
                     doomed_aborts += 1;
-                    self.hist.abort(slot.gwid.0, l, self.now.raw());
                     continue;
                 }
                 let t = &mut slot.warp.threads[li];
@@ -858,18 +792,7 @@ impl CoreCtx<'_> {
             }
             slot.gwid.0
         };
-        if doomed_aborts > 0 {
-            let now = self.now.raw();
-            self.rec.emit(|| {
-                (
-                    Stamp::warp(now, core as u32, gwid),
-                    SimEvent::TxAbort {
-                        cause: AbortCause::EarlyAbort,
-                        lanes: doomed_aborts,
-                    },
-                )
-            });
-        }
+        self.book_aborts(core, gwid, AbortCause::EarlyAbort, doomed_aborts);
         if el && !el_lanes.is_empty() {
             // Idealized per-access validation on the fresh read log.
             self.el_validate_lanes(core, warp, &el_lanes);
@@ -911,7 +834,7 @@ impl CoreCtx<'_> {
     fn el_validate_lanes(&mut self, c: usize, w: usize, lanes: &[u32]) {
         let mut aborted = 0u32;
         let gwid = {
-            let mem = &*self.mem;
+            let mem = &self.mem;
             let slot = self.cores[c].warps[w].as_mut().expect("warp alive");
             for &l in lanes {
                 let t = &slot.warp.threads[l as usize];
@@ -925,28 +848,14 @@ impl CoreCtx<'_> {
                     .all(|e| e.forwarded || mem.get(e.addr.0) == e.value);
                 if !valid {
                     slot.warp.tx_stack.abort_lane(l);
-                    let t = &mut slot.warp.threads[l as usize];
-                    t.status = ThreadStatus::Aborted;
-                    t.aborts += 1;
-                    self.stats.aborts += 1;
+                    slot.abort_attempt(l, &self.hist, self.now.raw());
                     aborted += 1;
-                    self.hist.abort(slot.gwid.0, l, self.now.raw());
                 }
             }
             slot.gwid.0
         };
+        self.book_aborts(c, gwid, AbortCause::Validation, aborted);
         if aborted > 0 {
-            self.stats.aborts_validation += aborted as u64;
-            let now = self.now.raw();
-            self.rec.emit(|| {
-                (
-                    Stamp::warp(now, c as u32, gwid),
-                    SimEvent::TxAbort {
-                        cause: AbortCause::Validation,
-                        lanes: aborted,
-                    },
-                )
-            });
             self.maybe_warp_commit(c, w);
         }
     }
@@ -959,8 +868,7 @@ impl CoreCtx<'_> {
         for w in 0..self.cores[c].warps.len() {
             let mut aborted = 0u32;
             let gwid = {
-                let core = &mut self.cores[c];
-                let Some(slot) = core.warps[w].as_mut() else {
+                let Some(slot) = self.cores[c].warps[w].as_mut() else {
                     continue;
                 };
                 if !slot.warp.tx_stack.is_open() || slot.committing.is_some() {
@@ -972,15 +880,11 @@ impl CoreCtx<'_> {
                     {
                         continue;
                     }
-                    if core.eapg.on_broadcast(&t.logs, writes) == EapgDecision::EarlyAbort {
+                    if eapg::on_broadcast(&t.logs, writes, &self.geom) == EapgDecision::EarlyAbort {
                         if t.status == ThreadStatus::Ready {
                             slot.warp.tx_stack.abort_lane(l as u32);
-                            let t = &mut slot.warp.threads[l];
-                            t.status = ThreadStatus::Aborted;
-                            t.aborts += 1;
-                            self.stats.aborts += 1;
+                            slot.abort_attempt(l as u32, &self.hist, now);
                             aborted += 1;
-                            self.hist.abort(slot.gwid.0, l as u32, now);
                         } else {
                             slot.doomed[l] = true;
                         }
@@ -988,16 +892,8 @@ impl CoreCtx<'_> {
                 }
                 slot.gwid.0
             };
+            self.book_aborts(c, gwid, AbortCause::EarlyAbort, aborted);
             if aborted > 0 {
-                self.rec.emit(|| {
-                    (
-                        Stamp::warp(now, c as u32, gwid),
-                        SimEvent::TxAbort {
-                            cause: AbortCause::EarlyAbort,
-                            lanes: aborted,
-                        },
-                    )
-                });
                 to_check.push(w);
             }
         }
@@ -1050,63 +946,39 @@ impl CoreCtx<'_> {
             .map(|_| self.attempt_pool.pop().unwrap_or_default())
             .collect();
         let recording = self.hist.is_on();
-        let mut word_buf = std::mem::take(self.word_buf);
         {
             let slot = self.cores[c].warps[w].as_mut().expect("warp");
             let commit_mask = slot.warp.tx_stack.commit_mask();
             let retry_mask = slot.warp.tx_stack.retry_mask();
-            let gwid = slot.gwid.0;
             let now = self.now.raw();
             for l in 0..slot.warp.threads.len() {
                 let bit = 1u64 << l;
                 // Snapshot the attempt id before the commit hook closes it;
                 // the write log applies at the partitions later.
                 let attempt = if recording && commit_mask & bit != 0 {
-                    self.hist.current_txn(gwid, l as u32)
+                    self.hist.current_txn(slot.gwid.0, l as u32)
                 } else {
                     NO_TXN
                 };
-                let t = &mut slot.warp.threads[l];
+                let logs = &slot.warp.threads[l].logs;
                 if commit_mask & bit != 0 {
-                    // Per-word last value + per-word write count, in
-                    // ascending address order: a stable sort groups the log
-                    // into per-address runs that preserve program order, so
-                    // the run's last element is the word's final value and
-                    // the run length its write count.
-                    word_buf.clear();
-                    word_buf.extend(t.logs.writes().iter().map(|e| (e.addr.0, e.value)));
-                    word_buf.sort_by_key(|&(a, _)| a);
-                    let mut i = 0;
-                    while i < word_buf.len() {
-                        let a = word_buf[i].0;
-                        let mut j = i + 1;
-                        while j < word_buf.len() && word_buf[j].0 == a {
-                            j += 1;
-                        }
-                        let g = geom.granule_of(Addr(a));
+                    for (addr, v, writes) in logs.merged_writes(&mut self.word_buf) {
+                        let g = geom.granule_of(addr);
                         let p = geom.partition_of_granule(g) as usize;
                         per_part[p].push(CommitEntry {
                             granule: g,
-                            addr: Addr(a),
-                            data: Some(word_buf[j - 1].1),
-                            writes: (j - i) as u32,
+                            addr,
+                            data: Some(v),
+                            writes,
                         });
                         if recording {
                             per_part_ids[p].push(attempt);
                         }
-                        i = j;
                     }
-                    t.commits += 1;
-                    self.stats.commits += 1;
-                    // The commit has shipped: this lane's speculative state
-                    // is dead and must no longer trigger intra-warp
-                    // conflicts for lanes retrying in later rounds.
-                    t.logs.clear();
-                    t.in_tx = false;
-                    self.hist.commit(gwid, l as u32, now);
+                    slot.commit_attempt(l as u32, &mut self.stats, &self.hist, now);
                 } else if retry_mask & bit != 0 {
                     // Abort cleanup: address + count per reserved granule.
-                    for (g, n) in t.logs.write_counts() {
+                    for (g, n) in logs.write_counts() {
                         let p = geom.partition_of_granule(g) as usize;
                         per_part[p].push(CommitEntry {
                             granule: g,
@@ -1121,7 +993,6 @@ impl CoreCtx<'_> {
                 }
             }
         }
-        *self.word_buf = word_buf;
         for (p, entries) in per_part.into_iter().enumerate() {
             if entries.is_empty() {
                 self.entry_pool.push(entries);
@@ -1153,12 +1024,8 @@ impl CoreCtx<'_> {
                 }
                 let read_only = slot.warp.threads[l].logs.is_read_only();
                 if read_only && slot.tcd_clean[l] {
-                    slot.warp.threads[l].commits += 1;
-                    self.stats.commits += 1;
+                    slot.commit_attempt(l as u32, &mut self.stats, &self.hist, self.now.raw());
                     self.stats.silent_commits += 1;
-                    slot.warp.threads[l].logs.clear();
-                    slot.warp.threads[l].in_tx = false;
-                    self.hist.commit(slot.gwid.0, l as u32, self.now.raw());
                 } else {
                     validate_lanes.push(l as u32);
                 }
@@ -1181,12 +1048,11 @@ impl CoreCtx<'_> {
                 ..ValidationJob::default()
             })
             .collect();
-        let mut word_buf = std::mem::take(self.word_buf);
         {
-            let slot = self.cores[c].warps[w].as_ref().expect("warp");
+            let slot = self.cores[c].warps[w].as_mut().expect("warp");
             for &l in &validate_lanes {
-                let logs = &slot.warp.threads[l as usize].logs;
-                for e in logs.reads() {
+                let t = &mut slot.warp.threads[l as usize];
+                for e in t.logs.reads() {
                     // Only reads that were *forwarded* from the lane's own
                     // earlier write skip validation; a read that preceded
                     // the write observed committed memory and must still
@@ -1201,36 +1067,17 @@ impl CoreCtx<'_> {
                         value: e.value,
                     });
                 }
-                // Per-word last value, ascending by address (stable sort:
-                // the last element of each address run is the final write).
-                word_buf.clear();
-                word_buf.extend(logs.writes().iter().map(|e| (e.addr.0, e.value)));
-                word_buf.sort_by_key(|&(a, _)| a);
-                let mut i = 0;
-                while i < word_buf.len() {
-                    let a = word_buf[i].0;
-                    let mut j = i + 1;
-                    while j < word_buf.len() && word_buf[j].0 == a {
-                        j += 1;
-                    }
-                    let p = geom.partition_of(Addr(a)) as usize;
+                for (addr, value, _) in t.logs.merged_writes(&mut self.word_buf) {
+                    let p = geom.partition_of(addr) as usize;
                     jobs[p].writes.push(warptm::LaneEntry {
                         lane: l,
-                        addr: Addr(a),
-                        value: word_buf[j - 1].1,
+                        addr,
+                        value,
                     });
-                    i = j;
                 }
-            }
-        }
-        *self.word_buf = word_buf;
-        {
-            let slot = self.cores[c].warps[w].as_mut().expect("warp");
-            for &l in &validate_lanes {
                 // The merged job carries everything validation needs; the
                 // lane's speculative state must stop shadowing later
                 // rounds (a failed commit rolls the lane back anyway).
-                let t = &mut slot.warp.threads[l as usize];
                 t.logs.clear();
                 t.in_tx = false;
             }
@@ -1245,9 +1092,7 @@ impl CoreCtx<'_> {
             // Nothing to validate (pure forwarded reads): commit directly.
             let slot = self.cores[c].warps[w].as_mut().expect("warp");
             for &l in &validate_lanes {
-                slot.warp.threads[l as usize].commits += 1;
-                self.stats.commits += 1;
-                self.hist.commit(slot.gwid.0, l, self.now.raw());
+                slot.commit_attempt(l, &mut self.stats, &self.hist, self.now.raw());
             }
             self.finish_round(c, w, true);
             return;
@@ -1282,8 +1127,8 @@ impl CoreCtx<'_> {
             slot.warp.tx_stack.commit_mask()
         };
         let mut failed_mask = 0u64;
-        {
-            let mem = &*self.mem;
+        let gwid = {
+            let mem = &self.mem;
             let slot = self.cores[c].warps[w].as_mut().expect("warp");
             for l in 0..slot.warp.threads.len() {
                 if commit_mask & (1 << l) == 0 {
@@ -1301,83 +1146,40 @@ impl CoreCtx<'_> {
             }
             if failed_mask != 0 {
                 slot.warp.tx_stack.fail_commit_lanes(failed_mask);
-                let gwid = slot.gwid.0;
-                let mut aborted = 0u32;
-                for l in 0..slot.warp.threads.len() {
+                for l in 0..slot.warp.threads.len() as u32 {
                     if failed_mask & (1 << l) != 0 {
-                        let t = &mut slot.warp.threads[l];
-                        t.status = ThreadStatus::Aborted;
-                        t.aborts += 1;
-                        self.stats.aborts += 1;
-                        aborted += 1;
-                        self.hist.abort(gwid, l as u32, self.now.raw());
+                        slot.abort_attempt(l, &self.hist, self.now.raw());
                     }
                 }
-                self.stats.aborts_validation += aborted as u64;
-                let now = self.now.raw();
-                self.rec.emit(|| {
-                    (
-                        Stamp::warp(now, c as u32, gwid),
-                        SimEvent::TxAbort {
-                            cause: AbortCause::Validation,
-                            lanes: aborted,
-                        },
-                    )
-                });
             }
-        }
+            slot.gwid.0
+        };
+        self.book_aborts(c, gwid, AbortCause::Validation, failed_mask.count_ones());
         let survivors = commit_mask & !failed_mask;
         // Apply survivor writes atomically now; the round trip is timing.
         let parts = self.cfg.partitions as usize;
         let mut per_part: Vec<Vec<(Addr, u64)>> = vec![Vec::new(); parts];
         let mut committed_lanes: Vec<u32> = Vec::new();
-        let mut word_buf = std::mem::take(self.word_buf);
         {
-            let slot = self.cores[c].warps[w].as_ref().expect("warp");
-            let gwid = slot.gwid.0;
+            let slot = self.cores[c].warps[w].as_mut().expect("warp");
             for l in 0..slot.warp.threads.len() {
                 if survivors & (1 << l) == 0 {
                     continue;
                 }
                 committed_lanes.push(l as u32);
                 let attempt = self.hist.current_txn(gwid, l as u32);
-                // Per-word last value, ascending (stable sort keeps program
-                // order within an address run; last element wins).
-                word_buf.clear();
-                word_buf.extend(
-                    slot.warp.threads[l]
-                        .logs
-                        .writes()
-                        .iter()
-                        .map(|e| (e.addr.0, e.value)),
-                );
-                word_buf.sort_by_key(|&(a, _)| a);
-                let mut i = 0;
-                while i < word_buf.len() {
-                    let a = word_buf[i].0;
-                    let mut j = i + 1;
-                    while j < word_buf.len() && word_buf[j].0 == a {
-                        j += 1;
-                    }
-                    let v = word_buf[j - 1].1;
-                    per_part[geom.partition_of(Addr(a)) as usize].push((Addr(a), v));
-                    self.hist.write_applied(attempt, a, v, self.now.raw());
-                    i = j;
+                let t = &mut slot.warp.threads[l];
+                for (addr, v, _) in t.logs.merged_writes(&mut self.word_buf) {
+                    per_part[geom.partition_of(addr) as usize].push((addr, v));
+                    self.hist.write_applied(attempt, addr.0, v, self.now.raw());
                 }
+                t.logs.clear();
+                t.in_tx = false;
             }
         }
-        *self.word_buf = word_buf;
         for writes in &per_part {
             for &(a, v) in writes {
                 self.mem.set(a.0, v);
-            }
-        }
-        {
-            let slot = self.cores[c].warps[w].as_mut().expect("warp");
-            for &l in &committed_lanes {
-                let t = &mut slot.warp.threads[l as usize];
-                t.logs.clear();
-                t.in_tx = false;
             }
         }
         let involved: Vec<usize> = per_part
@@ -1390,9 +1192,7 @@ impl CoreCtx<'_> {
             // Read-only survivors commit with no traffic.
             let slot = self.cores[c].warps[w].as_mut().expect("warp");
             for &l in &committed_lanes {
-                slot.warp.threads[l as usize].commits += 1;
-                self.stats.commits += 1;
-                self.hist.commit(slot.gwid.0, l, self.now.raw());
+                slot.commit_attempt(l, &mut self.stats, &self.hist, self.now.raw());
             }
             self.finish_round(c, w, true);
             return;
@@ -1464,25 +1264,11 @@ impl CoreCtx<'_> {
                 mask |= 1 << l;
             }
             slot.warp.tx_stack.fail_commit_lanes(mask);
-            let gwid = slot.gwid.0;
             for &l in &failing {
-                let t = &mut slot.warp.threads[l as usize];
-                t.status = ThreadStatus::Aborted;
-                t.aborts += 1;
-                self.stats.aborts += 1;
-                self.hist.abort(gwid, l, now.raw());
+                slot.abort_attempt(l, &self.hist, now.raw());
             }
-            self.stats.aborts_validation += failing.len() as u64;
-            let lanes = failing.len() as u32;
-            self.rec.emit(|| {
-                (
-                    Stamp::warp(now.raw(), core as u32, gwid),
-                    SimEvent::TxAbort {
-                        cause: AbortCause::Validation,
-                        lanes,
-                    },
-                )
-            });
+            let gwid = slot.gwid.0;
+            self.book_aborts(core, gwid, AbortCause::Validation, failing.len() as u32);
         }
         if surviving.is_empty() {
             // Whole warp transaction failed: abort at every partition and
@@ -1567,9 +1353,7 @@ impl CoreCtx<'_> {
             };
             slot.committing = None;
             for &l in &ctx.lanes {
-                slot.warp.threads[l as usize].commits += 1;
-                self.stats.commits += 1;
-                self.hist.commit(slot.gwid.0, l, self.now.raw());
+                slot.commit_attempt(l, &mut self.stats, &self.hist, self.now.raw());
             }
         }
         self.finish_round(ctx.core, ctx.warp, true);
@@ -1602,7 +1386,7 @@ impl CoreCtx<'_> {
                 slot.warp.warpts = slot.warp.warpts.max(cause + skip);
                 slot.warp.abort_cause_ts = 0;
                 if slot.warp.warpts >= self.cfg.ts_limit {
-                    *self.rollover_pending = true;
+                    self.rollover_pending = true;
                 }
             }
             slot.warp.backoff.note_abort();
@@ -1648,7 +1432,7 @@ impl CoreCtx<'_> {
                 slot.warp.warpts = slot.warp.warpts.max(slot.obs_max_ts) + 1;
             }
             if is_getm && slot.warp.warpts >= self.cfg.ts_limit {
-                *self.rollover_pending = true;
+                self.rollover_pending = true;
             }
             slot.warp.backoff.reset();
             for t in slot.warp.threads.iter_mut() {
@@ -1665,5 +1449,46 @@ impl CoreCtx<'_> {
                 core.tx_tokens -= 1;
             }
         }
+    }
+
+    /// Books `lanes` lane aborts of warp `gwid` on core `c` under `cause`:
+    /// the abort total, the engine's per-cause tally, and one `TxAbort`
+    /// trace event. A no-op for zero lanes. GETM's eager-check causes have
+    /// no engine tally: the VU counts them per request.
+    fn book_aborts(&mut self, c: usize, gwid: u32, cause: AbortCause, lanes: u32) {
+        if lanes == 0 {
+            return;
+        }
+        let n = lanes as u64;
+        self.stats.aborts += n;
+        match cause {
+            AbortCause::IntraWarp => self.stats.aborts_intra_warp += n,
+            AbortCause::Validation => self.stats.aborts_validation += n,
+            AbortCause::EarlyAbort => self.stats.eapg_early_aborts += n,
+            AbortCause::War
+            | AbortCause::LockConflict
+            | AbortCause::StallFull
+            | AbortCause::Approx => {}
+        }
+        let now = self.now.raw();
+        self.rec.emit(|| {
+            (
+                Stamp::warp(now, c as u32, gwid),
+                SimEvent::TxAbort { cause, lanes },
+            )
+        });
+    }
+
+    /// Inserts an in-flight commit context and marks the warp committing,
+    /// returning the token.
+    fn insert_commit(&mut self, c: usize, w: usize, ctx: CommitCtx) -> u64 {
+        let token = self.commits_in_flight.insert(ctx);
+        self.cores[c].warps[w].as_mut().expect("warp").committing = Some(token);
+        token
+    }
+
+    /// Sends a message on the up crossbar (at the current cycle).
+    fn send_up(&mut self, part: usize, bytes: u64, msg: UpMsg, cat: &'static str) {
+        self.up.send(self.now, part, bytes, msg, cat);
     }
 }

@@ -24,7 +24,6 @@
 //! Everything is deterministic for a given `GpuConfig::seed`.
 
 mod core_side;
-mod ctx;
 mod partition_side;
 mod watchdog;
 
@@ -38,12 +37,12 @@ use gpu_mem::{
     Addr, BankedMem, Crossbar, Delivery, DramChannel, Geometry, Granule, LineAddr, MemImage,
     SetAssocCache,
 };
-use gpu_simt::{Backoff, GtoScheduler, LaneList, Warp};
+use gpu_simt::{Backoff, GtoScheduler, LaneList, ThreadStatus, Warp};
 use sim_core::history::HistoryRecorder;
 use sim_core::trace::{Recorder, SimEvent, Stamp, WatchdogStage};
 use sim_core::{CancelToken, Cycle, DetRng, LivelockReport, SimError, TokenSlab};
 use std::collections::VecDeque;
-use warptm::{EapgFilter, TcdTable, ValidationJob, WarptmValidator};
+use warptm::{TcdTable, ValidationJob, WarptmValidator};
 use watchdog::{WatchdogState, WdMode};
 use workloads::{SyncMode, Workload};
 
@@ -74,14 +73,10 @@ pub(crate) enum UpMsg {
     },
     /// Fire-and-forget store. The value was already applied at issue
     /// (store-buffer semantics); the message carries the address so the
-    /// partition can charge LLC bandwidth. The value rides along only for
-    /// debugging dumps.
+    /// partition can charge LLC bandwidth.
     PlainStore {
         /// Target address.
         addr: Addr,
-        /// Value (debug visibility only).
-        #[allow(dead_code)]
-        value: u64,
     },
     /// Atomic executed at the partition.
     Atomic {
@@ -197,6 +192,34 @@ pub(crate) struct WarpSlot {
     pub gwid: gpu_simt::GlobalWarpId,
 }
 
+impl WarpSlot {
+    /// Lane `l`'s attempt aborts: the lane parks `Aborted` until the round
+    /// closes, and its history attempt ends. The caller updates the SIMT
+    /// stack itself (`abort_lane` mid-region, `fail_commit_lanes` at the
+    /// commit point) and books the abort with `Engine::book_aborts`.
+    pub(crate) fn abort_attempt(&mut self, l: u32, hist: &HistoryRecorder, now: u64) {
+        self.warp.threads[l as usize].status = ThreadStatus::Aborted;
+        hist.abort(self.gwid.0, l, now);
+    }
+
+    /// Lane `l`'s attempt commits: its speculative state dies (so it no
+    /// longer triggers intra-warp conflicts for lanes retrying in later
+    /// rounds), the commit is counted, and its history attempt ends.
+    pub(crate) fn commit_attempt(
+        &mut self,
+        l: u32,
+        stats: &mut EngineStats,
+        hist: &HistoryRecorder,
+        now: u64,
+    ) {
+        let t = &mut self.warp.threads[l as usize];
+        t.logs.clear();
+        t.in_tx = false;
+        stats.commits += 1;
+        hist.commit(self.gwid.0, l, now);
+    }
+}
+
 /// One SIMT core.
 pub(crate) struct CoreState {
     pub warps: Vec<Option<WarpSlot>>,
@@ -206,10 +229,6 @@ pub(crate) struct CoreState {
     pub tx_tokens: u32,
     /// Warps (as per-lane program vectors) waiting for a free slot.
     pub pending_warps: VecDeque<Vec<gpu_simt::BoxedProgram>>,
-    pub eapg: EapgFilter,
-    /// Commits/aborts of retired warps.
-    pub retired_commits: u64,
-    pub retired_aborts: u64,
 }
 
 /// One memory partition: LLC bank plus the TM units.
@@ -259,6 +278,8 @@ pub(crate) struct EngineStats {
     pub aborts_intra_warp: u64,
     /// Lanes aborted by commit-time validation (lazy systems).
     pub aborts_validation: u64,
+    /// Lanes aborted early by an EAPG broadcast.
+    pub eapg_early_aborts: u64,
 }
 
 /// The engine itself.
@@ -383,9 +404,6 @@ impl Engine {
                 l1: SetAssocCache::new(cfg.l1),
                 tx_tokens: 0,
                 pending_warps: queue,
-                eapg: EapgFilter::new(geom),
-                retired_commits: 0,
-                retired_aborts: 0,
             });
         }
         let live_warps = cores
@@ -563,25 +581,19 @@ impl Engine {
         // new packets, never consume arrivals).
         let mut up_buf = std::mem::take(&mut self.up_buf);
         self.up.drain_due(now, &mut up_buf);
-        {
-            let mut ctx = self.part_ctx();
-            for d in up_buf.drain(..) {
-                ctx.handle_up(d.dst, d.payload)?;
-            }
+        for d in up_buf.drain(..) {
+            self.handle_up(d.dst, d.payload)?;
         }
         self.up_buf = up_buf;
 
         // Phases 2 and 3: down deliveries -> cores, then issue.
         let mut down_buf = std::mem::take(&mut self.down_buf);
         self.down.drain_due(now, &mut down_buf);
-        {
-            let mut ctx = self.core_ctx();
-            for d in down_buf.drain(..) {
-                ctx.handle_down(d.dst, d.payload)?;
-            }
-            for c in 0..ctx.cores.len() {
-                ctx.issue_core(c)?;
-            }
+        for d in down_buf.drain(..) {
+            self.handle_down(d.dst, d.payload)?;
+        }
+        for c in 0..self.cores.len() {
+            self.issue_core(c)?;
         }
         self.down_buf = down_buf;
 
@@ -1089,12 +1101,12 @@ impl Engine {
         m.metadata_latency = self.stats.meta_latency.clone();
         m.aborts_intra_warp = self.stats.aborts_intra_warp;
         m.aborts_validation = self.stats.aborts_validation;
+        m.eapg_early_aborts = self.stats.eapg_early_aborts;
         let (mut l1h, mut l1m, mut llch, mut llcm) = (0, 0, 0, 0);
         for c in &self.cores {
             l1h += c.l1.hits();
             l1m += c.l1.misses();
             m.l1_sector_misses += c.l1.sector_misses();
-            m.eapg_early_aborts += c.eapg.early_aborts();
         }
         let mut part_accesses = Vec::with_capacity(self.parts.len());
         for p in &self.parts {

@@ -10,8 +10,7 @@
 //! Load values are captured *here*, at partition processing time, so a
 //! reply in flight can never observe logically later writes.
 
-use super::ctx::PartCtx;
-use super::{DownMsg, Pending, UpMsg};
+use super::{DownMsg, Engine, Pending, UpMsg};
 use crate::config::MemModel;
 use fglock::AtomicOp;
 use gpu_mem::{AccessKind, Addr, CacheResult, Granule, LineAddr};
@@ -23,7 +22,7 @@ use sim_core::{Cycle, SimError};
 /// occupancy; contention, not raw latency, is the modelled effect).
 const LLC_BANK_OCCUPANCY: u64 = 2;
 
-impl PartCtx<'_> {
+impl Engine {
     /// Handles one up-crossbar delivery at partition `p`.
     pub(crate) fn handle_up(&mut self, p: usize, msg: UpMsg) -> Result<(), SimError> {
         match msg {
@@ -275,7 +274,7 @@ impl PartCtx<'_> {
         }
         // Merge per-granule write counts (ascending granule order) into the
         // scratch buffer, then release each, waking stalled requests.
-        let mut merged = std::mem::take(self.word_buf);
+        let mut merged = std::mem::take(&mut self.word_buf);
         merged.clear();
         merged.extend(regions.iter().map(|r| (r.granule, r.writes as u64)));
         merged.sort_unstable_by_key(|&(g, _)| g);
@@ -333,7 +332,7 @@ impl PartCtx<'_> {
                 );
             }
         }
-        *self.word_buf = merged;
+        self.word_buf = merged;
         Ok(())
     }
 
@@ -376,7 +375,7 @@ impl PartCtx<'_> {
         // Value-based validation reads the *current* value of every logged
         // line from the LLC: charge the (pipelined) LLC latency once plus
         // a DRAM access per missing line.
-        let mut lines = std::mem::take(self.line_buf);
+        let lines = &mut self.line_buf;
         lines.clear();
         lines.extend(job.reads.iter().map(|e| self.geom.line_of(e.addr)));
         lines.sort_unstable();
@@ -386,7 +385,7 @@ impl PartCtx<'_> {
         } else {
             self.cfg.llc_service
         };
-        for &line in &lines {
+        for &line in &self.line_buf {
             let hit = matches!(
                 self.parts[p].llc.access(line, AccessKind::Read),
                 CacheResult::Hit
@@ -403,7 +402,6 @@ impl PartCtx<'_> {
                 };
             }
         }
-        *self.line_buf = lines;
         let verdict = {
             let mem = &self.mem;
             self.parts[p].wtm.validate(job, |a| mem.get(a.0))
@@ -586,7 +584,7 @@ impl PartCtx<'_> {
     // ----- Helpers ---------------------------------------------------------
 
     /// Injects a reply onto the down crossbar.
-    pub(crate) fn send_down(
+    fn send_down(
         &mut self,
         at: Cycle,
         core: usize,

@@ -95,7 +95,7 @@ pub struct Metrics {
     pub getm_max_cause_ts: u64,
     /// GETM precise-table overflow high-water mark (expected 0).
     pub metadata_overflow_peak: usize,
-    /// EAPG early aborts triggered by broadcasts.
+    /// Lanes EAPG aborted early after a broadcast hit their footprint.
     pub eapg_early_aborts: u64,
     /// EAPG broadcast messages delivered.
     pub eapg_broadcasts: u64,
@@ -164,8 +164,11 @@ impl Metrics {
     /// The abort tally attributed to one cause — the Table IV companion
     /// breakdown. Causes are counted where they are detected, so WAR and
     /// lock-conflict are VU reply counts (per request, possibly covering
-    /// several lanes) while intra-warp/validation/early-abort are lane
-    /// counts; `approx` overlaps WAR/lock-conflict (it marks which table
+    /// several lanes) while intra-warp/validation/early-abort are counts
+    /// of aborted lanes, booked at the engine's one abort site and equal
+    /// to the lanes of the run's `TxAbort` trace events for that cause
+    /// (an EAPG lane doomed by several broadcasts counts once, when it
+    /// aborts); `approx` overlaps WAR/lock-conflict (it marks which table
     /// the losing timestamp came from).
     pub fn aborts_by_cause(&self, cause: sim_core::AbortCause) -> u64 {
         use sim_core::AbortCause as C;

@@ -22,9 +22,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// watchdog fields (`degraded`, `watchdog_escalations`,
 /// `serialized_commits`). v4 added the host-profile attribution lines
 /// (`host_profile/*`, written by profiled sharded runs, which no longer
-/// exist; the parser ignores them). v5 added the memory-tier fields (`l1_sector_misses`, `llc_sector_misses`,
-/// `dram_accesses`, `dram_queue_stalls`, `partition_imbalance`).
-const FORMAT: &str = "getm-metrics-v5";
+/// exist). v5 added the memory-tier fields (`l1_sector_misses`,
+/// `llc_sector_misses`, `dram_accesses`, `dram_queue_stalls`,
+/// `partition_imbalance`). v6 recounts `eapg_early_aborts` as aborted
+/// lanes rather than broadcast hits.
+const FORMAT: &str = "getm-metrics-v6";
 
 /// An on-disk cache mapping [`super::CellSpec::cache_key`] to [`Metrics`].
 #[derive(Debug, Clone)]
@@ -453,15 +455,15 @@ mod tests {
     #[test]
     fn version_mismatch_is_a_miss() {
         let mut text = serialize_metrics(&Metrics::default());
-        text = text.replacen("v5", "v0", 1);
+        text = text.replacen("v6", "v0", 1);
         assert!(parse_metrics(&text).is_none());
     }
 
     #[test]
     fn garbage_is_a_miss() {
         assert!(parse_metrics("").is_none());
-        assert!(parse_metrics("getm-metrics-v5\ncycles=abc\n").is_none());
-        assert!(parse_metrics("getm-metrics-v5\nnot a line\n").is_none());
+        assert!(parse_metrics("getm-metrics-v6\ncycles=abc\n").is_none());
+        assert!(parse_metrics("getm-metrics-v6\nnot a line\n").is_none());
     }
 
     #[test]
@@ -507,32 +509,6 @@ mod tests {
     }
 
     #[test]
-    fn v5_entry_with_host_profile_lines_still_loads() {
-        // Profiled sharded runs wrote `host_profile/*` lines into v5
-        // entries. The engine no longer shards, but those entries stay
-        // warm: the lines are ignored and the simulated metrics load.
-        let dir = std::env::temp_dir().join(format!(
-            "getm-cache-hostprof-{}-{:p}",
-            std::process::id(),
-            &FORMAT
-        ));
-        let cache = ResultCache::new(&dir);
-        let m = sample_metrics();
-        let text = serialize_metrics(&m);
-        assert!(!text.contains("host_profile/"));
-        let old = text.replace(
-            "check=",
-            "host_profile/shards=12345:678:90,11111:2222:0\nhost_profile/windows=4096\ncheck=",
-        );
-        std::fs::create_dir_all(cache.dir()).unwrap();
-        std::fs::write(cache.dir().join("feedface.metrics"), old).unwrap();
-        let loaded = cache.load("feedface").expect("v5 entry loads");
-        assert_eq!(loaded, m);
-        assert!(loaded.host_profile.shards.is_empty());
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
     fn none_means_round_trip() {
         let m = Metrics::default();
         assert_eq!(m.mean_metadata_access_cycles, None);
@@ -553,8 +529,8 @@ mod tests {
         ));
         let cache = ResultCache::new(&dir);
         let m = sample_metrics();
-        // Write a v4-era file directly under the key's path.
-        let old = serialize_metrics(&m).replacen("v5", "v4", 1);
+        // Write a v5-era file directly under the key's path.
+        let old = serialize_metrics(&m).replacen("v6", "v5", 1);
         std::fs::create_dir_all(cache.dir()).unwrap();
         std::fs::write(cache.dir().join("cafef00d.metrics"), old).unwrap();
         assert_eq!(cache.entry_count(), 1);

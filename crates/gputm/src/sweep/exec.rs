@@ -1,8 +1,8 @@
-//! The work-stealing, fault-isolated cell executor.
+//! The fault-isolated, multi-threaded cell executor.
 //!
-//! Cells are distributed block-cyclically over per-worker deques; an idle
-//! worker first drains its own queue from the front, then steals from the
-//! back of the busiest sibling. Each cell's attempt notes and its
+//! Workers claim unfinished cells in spec order from one shared cursor
+//! (cells are coarse, so one atomic increment per cell is all the
+//! scheduling they need). Each cell's attempt notes and its
 //! finished result stream over one channel to the caller's thread, whose
 //! ledger slots results by index — so the returned vector is in spec
 //! order no matter which worker finished first, and a cell's events reach
@@ -27,10 +27,9 @@ use super::{
 use crate::metrics::Metrics;
 use crate::runner::RunOptions;
 use sim_core::{CancelToken, SimError};
-use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 /// Signature of an injected cell execution (see [`CellRunner`]).
@@ -61,19 +60,17 @@ pub(super) fn run_report(cells: &[CellSpec], opts: &SweepOptions) -> SweepReport
     let mut ledger = Ledger::open(cells, opts, workers);
     // Cells a resumed journal recalled are already in the books.
     let pending: Vec<usize> = (0..total).filter(|&i| !ledger.is_filled(i)).collect();
-    let queues: Vec<Mutex<VecDeque<usize>>> = (0..workers)
-        .map(|w| Mutex::new(pending.iter().copied().skip(w).step_by(workers).collect()))
-        .collect();
+    let next = AtomicUsize::new(0);
 
     let fail_fast = opts.failure_policy == FailurePolicy::FailFast;
     let stop = AtomicBool::new(false);
     std::thread::scope(|scope| {
         let (tx, rx) = mpsc::channel::<(usize, Report)>();
-        for me in 0..workers {
+        for _ in 0..workers {
             let tx = tx.clone();
-            let (queues, stop) = (&queues, &stop);
+            let (pending, next, stop) = (&pending, &next, &stop);
             scope.spawn(move || {
-                while let Some(idx) = claim(queues, me) {
+                while let Some(&idx) = pending.get(next.fetch_add(1, Ordering::Relaxed)) {
                     let revoked = opts.cancel.as_ref().is_some_and(CancelToken::is_cancelled);
                     if stop.load(Ordering::Relaxed) || revoked {
                         break; // fail-fast or external cancel: leave the rest unclaimed
@@ -112,19 +109,6 @@ pub(super) fn run_report(cells: &[CellSpec], opts: &SweepOptions) -> SweepReport
 enum Report {
     Note(Note),
     Done(CellResult),
-}
-
-/// Pops the next cell index: own queue front first, then the largest
-/// sibling queue's back (classic steal-half-from-the-cold-end ordering,
-/// simplified to steal-one since cells are coarse).
-fn claim(queues: &[Mutex<VecDeque<usize>>], me: usize) -> Option<usize> {
-    if let Some(idx) = queues[me].lock().unwrap().pop_front() {
-        return Some(idx);
-    }
-    let victim = (0..queues.len())
-        .filter(|&w| w != me)
-        .max_by_key(|&w| queues[w].lock().unwrap().len())?;
-    queues[victim].lock().unwrap().pop_back()
 }
 
 /// Runs one cell to a verdict: cache, then up to the policy's attempt
@@ -287,51 +271,7 @@ fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
 mod tests {
     use super::*;
     use crate::config::{GpuConfig, TmSystem};
-    use std::sync::atomic::AtomicUsize;
     use workloads::suite::{Benchmark, Scale};
-
-    fn queues_of(sizes: &[Vec<usize>]) -> Vec<Mutex<VecDeque<usize>>> {
-        sizes
-            .iter()
-            .map(|v| Mutex::new(v.iter().copied().collect()))
-            .collect()
-    }
-
-    #[test]
-    fn claim_prefers_own_queue_front() {
-        let q = queues_of(&[vec![0, 2], vec![1, 3]]);
-        assert_eq!(claim(&q, 0), Some(0));
-        assert_eq!(claim(&q, 0), Some(2));
-    }
-
-    #[test]
-    fn claim_steals_from_largest_victim_back() {
-        let q = queues_of(&[vec![], vec![1], vec![2, 5, 8]]);
-        // Worker 0 is empty: steals from worker 2 (largest), back end.
-        assert_eq!(claim(&q, 0), Some(8));
-        assert_eq!(claim(&q, 0), Some(5));
-        assert_eq!(claim(&q, 0), Some(2));
-        assert_eq!(claim(&q, 0), Some(1));
-        assert_eq!(claim(&q, 0), None);
-    }
-
-    #[test]
-    fn block_cyclic_seeding_covers_all_indices() {
-        let n = 10;
-        let workers = 3;
-        let queues: Vec<Mutex<VecDeque<usize>>> = (0..workers)
-            .map(|w| Mutex::new((w..n).step_by(workers).collect()))
-            .collect();
-        let mut seen: Vec<usize> = Vec::new();
-        for w in (0..workers).cycle() {
-            match claim(&queues, w) {
-                Some(i) => seen.push(i),
-                None => break,
-            }
-        }
-        seen.sort_unstable();
-        assert_eq!(seen, (0..n).collect::<Vec<_>>());
-    }
 
     #[test]
     fn retry_backoff_doubles_and_caps() {

@@ -1,9 +1,9 @@
 //! The sweep ledger: result bookkeeping shared by both sweep front ends.
 //!
-//! A grid runs either on the in-process work-stealing executor
-//! ([`super::exec`]) or on the distributed campaign coordinator
-//! (`crate::campaign`). The two schedule differently — threads on a
-//! channel versus leases on a socket — but keep identical books, and the
+//! A grid runs either on the in-process executor ([`super::exec`]) or on
+//! the distributed campaign coordinator (`crate::campaign`). Both hand out
+//! unfinished cells in spec order, over different transports — threads
+//! on a channel versus leases on a socket — and keep identical books; the
 //! ledger is the one copy of them: per-cell slots in spec order, the
 //! fsynced [`SweepJournal`] (including recalling a resumed campaign's
 //! journaled cells from the cache before any work is handed out), the

@@ -10,9 +10,9 @@
 //! * [`ExperimentSpec`] makes a sweep a first-class value: a list of
 //!   cells, usually produced by [`ExperimentSpec::grid`]'s cross-product
 //!   builder.
-//! * [`run_sweep_report`] executes the cells on a work-stealing pool of
-//!   scoped threads; serial (`threads = 1`) and parallel runs return
-//!   identical metrics in identical (spec) order.
+//! * [`run_sweep_report`] executes the cells on a pool of scoped threads
+//!   that claim cells in spec order; serial (`threads = 1`) and parallel
+//!   runs return identical metrics in identical (spec) order.
 //! * [`ResultCache`] memoizes finished cells on disk under a
 //!   content-addressed key ([`CellSpec::cache_key`], a stable 128-bit
 //!   FNV-1a digest of the cell description), so re-running a harness

@@ -11,8 +11,8 @@
 //!
 //! Following the paper's evaluation setup, the mechanism is idealized: each
 //! broadcast is a 64-bit flit per core (charged as traffic by the engine),
-//! and the conflict comparison itself is free. [`EapgFilter`] implements
-//! the core-side comparison.
+//! and the conflict comparison itself is free. [`on_broadcast`] is the
+//! core-side comparison.
 
 use gpu_mem::{Geometry, Granule};
 use gpu_simt::log::TxLogs;
@@ -28,47 +28,15 @@ pub enum EapgDecision {
     EarlyAbort,
 }
 
-/// Core-side broadcast filter.
-#[derive(Debug, Clone)]
-pub struct EapgFilter {
-    geom: Geometry,
-    early_aborts: u64,
-    broadcasts_seen: u64,
-}
-
-impl EapgFilter {
-    /// Creates a filter for one core.
-    pub fn new(geom: Geometry) -> Self {
-        EapgFilter {
-            geom,
-            early_aborts: 0,
-            broadcasts_seen: 0,
-        }
-    }
-
-    /// Evaluates a running transaction's logs against a broadcast write
-    /// set, recording the decision in the filter's counters.
-    pub fn on_broadcast(&mut self, logs: &TxLogs, written: &[Granule]) -> EapgDecision {
-        self.broadcasts_seen += 1;
-        let overlap = written
-            .iter()
-            .any(|&g| logs.read_granule(g, &self.geom) || logs.wrote_granule(g));
-        if overlap {
-            self.early_aborts += 1;
-            EapgDecision::EarlyAbort
-        } else {
-            EapgDecision::Unaffected
-        }
-    }
-
-    /// Early aborts triggered by this filter.
-    pub fn early_aborts(&self) -> u64 {
-        self.early_aborts
-    }
-
-    /// Broadcast evaluations performed.
-    pub fn broadcasts_seen(&self) -> u64 {
-        self.broadcasts_seen
+/// Evaluates a running transaction's logs against a broadcast write set.
+pub fn on_broadcast(logs: &TxLogs, written: &[Granule], geom: &Geometry) -> EapgDecision {
+    let overlap = written
+        .iter()
+        .any(|&g| logs.read_granule(g, geom) || logs.wrote_granule(g));
+    if overlap {
+        EapgDecision::EarlyAbort
+    } else {
+        EapgDecision::Unaffected
     }
 }
 
@@ -84,48 +52,40 @@ mod tests {
     #[test]
     fn overlap_with_read_set_aborts() {
         let g = geom();
-        let mut f = EapgFilter::new(g);
         let mut logs = TxLogs::new();
         logs.record_read(Addr(8), 1); // granule 0
         assert_eq!(
-            f.on_broadcast(&logs, &[Granule(0)]),
+            on_broadcast(&logs, &[Granule(0)], &g),
             EapgDecision::EarlyAbort
         );
-        assert_eq!(f.early_aborts(), 1);
     }
 
     #[test]
     fn overlap_with_write_set_aborts() {
         let g = geom();
-        let mut f = EapgFilter::new(g);
         let mut logs = TxLogs::new();
         logs.record_write(Addr(40), 1, &g); // granule 1
         assert_eq!(
-            f.on_broadcast(&logs, &[Granule(1)]),
+            on_broadcast(&logs, &[Granule(1)], &g),
             EapgDecision::EarlyAbort
         );
     }
 
     #[test]
     fn disjoint_broadcast_is_harmless() {
-        let g = geom();
-        let mut f = EapgFilter::new(g);
         let mut logs = TxLogs::new();
         logs.record_read(Addr(8), 1);
         assert_eq!(
-            f.on_broadcast(&logs, &[Granule(7), Granule(9)]),
+            on_broadcast(&logs, &[Granule(7), Granule(9)], &geom()),
             EapgDecision::Unaffected
         );
-        assert_eq!(f.early_aborts(), 0);
-        assert_eq!(f.broadcasts_seen(), 1);
     }
 
     #[test]
     fn empty_logs_never_abort() {
-        let mut f = EapgFilter::new(geom());
         let logs = TxLogs::new();
         assert_eq!(
-            f.on_broadcast(&logs, &[Granule(0), Granule(1)]),
+            on_broadcast(&logs, &[Granule(0), Granule(1)], &geom()),
             EapgDecision::Unaffected
         );
     }

@@ -30,6 +30,5 @@ pub mod eapg;
 pub mod tcd;
 pub mod validator;
 
-pub use eapg::EapgFilter;
 pub use tcd::TcdTable;
 pub use validator::{LaneEntry, ValidationJob, Verdict, WarptmValidator};
