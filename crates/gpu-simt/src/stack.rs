@@ -21,6 +21,21 @@ pub fn full_mask(n: u32) -> LaneMask {
     }
 }
 
+/// The lanes set in `mask`, in ascending lane order.
+///
+/// ```
+/// assert_eq!(gpu_simt::stack::lanes_of(0b1010_0001).collect::<Vec<_>>(), vec![0, 5, 7]);
+/// ```
+pub fn lanes_of(mut mask: LaneMask) -> impl Iterator<Item = u32> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let l = mask.trailing_zeros();
+            mask &= mask - 1;
+            l
+        })
+    })
+}
+
 /// The per-warp transactional stack state.
 ///
 /// Life cycle per transactional region:

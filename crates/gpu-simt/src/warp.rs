@@ -5,11 +5,15 @@
 //! (`warpts`, used by GETM), and its backoff state. The cycle-level engine
 //! in the `gputm` facade drives these structures; this module owns the
 //! invariants of the per-thread state machine.
+//!
+//! Lane statuses live in one bitmask per [`ThreadStatus`], so the engine's
+//! per-cycle questions ("any lane ready?", "all finished?") are one word
+//! compare each, and lane loops walk only the set bits of a mask.
 
 use crate::backoff::Backoff;
 use crate::log::TxLogs;
 use crate::program::{BoxedProgram, Op, OpResult};
-use crate::stack::TxStack;
+use crate::stack::{full_mask, LaneMask, TxStack};
 use sim_core::Cycle;
 
 /// The execution status of one thread slot.
@@ -27,11 +31,21 @@ pub enum ThreadStatus {
     Finished,
 }
 
-/// One thread slot of a warp.
+impl ThreadStatus {
+    /// Every status, in declaration (and mask-index) order.
+    pub const ALL: [ThreadStatus; 5] = [
+        ThreadStatus::Ready,
+        ThreadStatus::Blocked,
+        ThreadStatus::AtCommit,
+        ThreadStatus::Aborted,
+        ThreadStatus::Finished,
+    ];
+}
+
+/// One thread slot of a warp. Its status lives in the warp's lane masks
+/// ([`Warp::lane_status`]).
 pub struct ThreadSlot {
     program: BoxedProgram,
-    /// Current status.
-    pub status: ThreadStatus,
     /// Result to feed the program on its next fetch.
     pub pending_result: OpResult,
     /// An op that was fetched but could not issue yet (kept until issued).
@@ -45,7 +59,6 @@ pub struct ThreadSlot {
 impl std::fmt::Debug for ThreadSlot {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ThreadSlot")
-            .field("status", &self.status)
             .field("in_tx", &self.in_tx)
             .field("staged_op", &self.staged_op)
             .finish()
@@ -57,7 +70,6 @@ impl ThreadSlot {
     pub fn new(program: BoxedProgram) -> Self {
         ThreadSlot {
             program,
-            status: ThreadStatus::Ready,
             pending_result: OpResult::None,
             staged_op: None,
             logs: TxLogs::new(),
@@ -108,6 +120,11 @@ pub enum WarpStatus {
 pub struct Warp {
     /// Thread slots (index = lane).
     pub threads: Vec<ThreadSlot>,
+    /// One lane mask per [`ThreadStatus`] (indexed by the status): each
+    /// lane's bit is set in exactly one of them.
+    masks: [LaneMask; 5],
+    /// Every lane of the warp (the low `width` bits).
+    full: LaneMask,
     /// The transactional SIMT stack.
     pub tx_stack: TxStack,
     /// GETM logical timestamp for this warp's transactions.
@@ -150,8 +167,13 @@ impl Warp {
             !programs.is_empty() && programs.len() <= 64,
             "a warp has 1..=64 lanes"
         );
+        let full = full_mask(programs.len() as u32);
+        let mut masks = [0; 5];
+        masks[ThreadStatus::Ready as usize] = full;
         Warp {
             threads: programs.into_iter().map(ThreadSlot::new).collect(),
+            masks,
+            full,
             tx_stack: TxStack::new(),
             warpts: 0,
             backoff: Backoff::paper_default(),
@@ -168,16 +190,38 @@ impl Warp {
         self.threads.len()
     }
 
+    /// Lane `l`'s status.
+    pub fn lane_status(&self, l: u32) -> ThreadStatus {
+        let bit = 1 << l;
+        ThreadStatus::ALL
+            .into_iter()
+            .find(|&s| self.masks[s as usize] & bit != 0)
+            .expect("every lane has a status")
+    }
+
+    /// Moves lane `l` to `status`.
+    pub fn set_status(&mut self, l: u32, status: ThreadStatus) {
+        let bit = 1 << l;
+        debug_assert!(self.full & bit != 0, "lane {l} is outside the warp");
+        for m in &mut self.masks {
+            *m &= !bit;
+        }
+        self.masks[status as usize] |= bit;
+    }
+
+    /// The lanes currently in `status`.
+    pub fn lanes_in(&self, status: ThreadStatus) -> LaneMask {
+        self.masks[status as usize]
+    }
+
     /// Whether every thread has finished.
     pub fn all_finished(&self) -> bool {
-        self.threads
-            .iter()
-            .all(|t| t.status == ThreadStatus::Finished)
+        self.lanes_in(ThreadStatus::Finished) == self.full
     }
 
     /// Whether any thread is in [`ThreadStatus::Ready`].
     pub fn any_ready(&self) -> bool {
-        self.threads.iter().any(|t| t.status == ThreadStatus::Ready)
+        self.lanes_in(ThreadStatus::Ready) != 0
     }
 
     /// The warp status at cycle `now`.
@@ -209,16 +253,6 @@ impl Warp {
     /// can be elided wholesale.
     pub fn sleeping_until(&self, now: Cycle) -> Option<Cycle> {
         (now < self.sleep_until).then_some(self.sleep_until)
-    }
-
-    /// Lanes that are currently `Ready`.
-    pub fn ready_lanes(&self) -> Vec<u32> {
-        self.threads
-            .iter()
-            .enumerate()
-            .filter(|(_, t)| t.status == ThreadStatus::Ready)
-            .map(|(i, _)| i as u32)
-            .collect()
     }
 }
 
@@ -259,16 +293,9 @@ mod tests {
         w.outstanding = 1;
         assert_eq!(w.status(Cycle(10)), WarpStatus::Ready);
         w.outstanding = 0;
-        w.threads[0].status = ThreadStatus::Finished;
+        w.set_status(0, ThreadStatus::Finished);
         assert_eq!(w.status(Cycle(10)), WarpStatus::Finished);
         assert!(w.all_finished());
-    }
-
-    #[test]
-    fn ready_lanes_lists_indices() {
-        let mut w = warp_of(vec![vec![Op::Done], vec![Op::Done], vec![Op::Done]]);
-        w.threads[1].status = ThreadStatus::Blocked;
-        assert_eq!(w.ready_lanes(), vec![0, 2]);
     }
 
     #[test]
@@ -290,6 +317,91 @@ mod tests {
         assert_eq!(t.staged_op, None);
         // Program rewound to just after TxBegin.
         assert_eq!(t.fetch_op(), Op::TxStore(Addr(0), 1));
+    }
+
+    fn warp_of_width(n: usize) -> Warp {
+        warp_of(vec![vec![Op::Done]; n])
+    }
+
+    /// Checks every mask query against a per-lane recount of `model`.
+    fn assert_agrees(w: &Warp, model: &[ThreadStatus]) {
+        for s in ThreadStatus::ALL {
+            let recount = model
+                .iter()
+                .enumerate()
+                .filter(|&(_, &m)| m == s)
+                .fold(0u64, |acc, (l, _)| acc | 1 << l);
+            assert_eq!(w.lanes_in(s), recount, "{s:?} mask, width {}", w.width());
+        }
+        for (l, &m) in model.iter().enumerate() {
+            assert_eq!(w.lane_status(l as u32), m, "lane {l}");
+        }
+        let all_finished = model.iter().all(|&m| m == ThreadStatus::Finished);
+        let any_ready = model.contains(&ThreadStatus::Ready);
+        assert_eq!(w.all_finished(), all_finished);
+        assert_eq!(w.any_ready(), any_ready);
+        assert_eq!(
+            w.lanes_in(ThreadStatus::Ready) & w.lanes_in(ThreadStatus::Finished),
+            0,
+            "a lane is both ready and finished"
+        );
+        let expected = if all_finished {
+            WarpStatus::Finished
+        } else if any_ready {
+            WarpStatus::Ready
+        } else {
+            WarpStatus::Stalled
+        };
+        assert_eq!(w.status(Cycle(0)), expected);
+    }
+
+    #[test]
+    fn lane_masks_agree_with_a_per_lane_recount() {
+        for width in [1usize, 3, 32, 64] {
+            let mut w = warp_of_width(width);
+            let mut model = vec![ThreadStatus::Ready; width];
+            assert_agrees(&w, &model);
+            // Every transition, on the first, a middle and the last lane.
+            for l in [0, width / 2, width - 1] {
+                for from in ThreadStatus::ALL {
+                    for to in ThreadStatus::ALL {
+                        for s in [from, to] {
+                            w.set_status(l as u32, s);
+                            model[l] = s;
+                            assert_agrees(&w, &model);
+                        }
+                    }
+                }
+            }
+            // A deterministic random walk over all lanes.
+            let mut x = 0x2545_F491_4F6C_DD1Du64;
+            for _ in 0..400 {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                let l = (x % width as u64) as usize;
+                let s = ThreadStatus::ALL[(x >> 32) as usize % 5];
+                w.set_status(l as u32, s);
+                model[l] = s;
+                assert_agrees(&w, &model);
+            }
+        }
+    }
+
+    #[test]
+    fn full_warps_finish_without_overflow() {
+        for width in [1usize, 3, 32, 64] {
+            let mut w = warp_of_width(width);
+            for l in 0..width as u32 {
+                assert!(!w.all_finished(), "width {width}: lane {l} still ready");
+                w.set_status(l, ThreadStatus::Finished);
+            }
+            assert!(w.all_finished(), "width {width}");
+            assert!(!w.any_ready());
+            assert_eq!(w.status(Cycle(0)), WarpStatus::Finished);
+        }
+        let w = warp_of_width(64);
+        assert_eq!(w.lanes_in(ThreadStatus::Ready), u64::MAX);
     }
 
     #[test]

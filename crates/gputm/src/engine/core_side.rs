@@ -8,6 +8,7 @@ use fglock::AtomicOp;
 use getm::{AccessKind as GetmKind, AccessRequest, CommitEntry, ReplyKind};
 use gpu_mem::{Addr, Granule};
 use gpu_simt::program::OpKind as K;
+use gpu_simt::stack::{lanes_of, LaneMask};
 use gpu_simt::{coalesce_by_granule, LaneList, Op, OpResult, ThreadStatus};
 use sim_core::history::NO_TXN;
 use sim_core::trace::{AbortCause, SimEvent, Stamp};
@@ -18,7 +19,8 @@ use warptm::ValidationJob;
 impl Engine {
     // ===================== issue =====================
 
-    /// Refills finished warp slots and issues one instruction on core `c`.
+    /// Retires finished warps, refilling their slots, and issues one
+    /// instruction on core `c`.
     ///
     /// # Errors
     ///
@@ -26,8 +28,6 @@ impl Engine {
     /// not match its op-kind group (a program/engine bug, not modelled
     /// behaviour).
     pub(crate) fn issue_core(&mut self, c: usize) -> Result<(), SimError> {
-        self.retire_and_refill(c);
-
         // Compute readiness, including the TxBegin throttle.
         let now = self.now;
         let limit = self.cfg.tx_concurrency;
@@ -40,8 +40,23 @@ impl Engine {
         ready.clear();
         ready.resize(nwarps, false);
         for (w, ready_slot) in ready.iter_mut().enumerate() {
-            let tokens = self.cores[c].tx_tokens;
-            let Some(slot) = self.cores[c].warps[w].as_mut() else {
+            let core = &mut self.cores[c];
+            // Retire a finished warp and refill its slot from the pending
+            // queue. A refill depends only on its own slot and the queue,
+            // so retiring here, slot by slot, is the same as a separate
+            // pass in front of this one.
+            if core.warps[w]
+                .as_ref()
+                .is_some_and(|s| s.warp.all_finished())
+            {
+                self.live_warps -= 1;
+                core.warps[w] = core.pending_warps.pop_front().map(|progs| {
+                    let rng = sim_core::DetRng::seeded(self.cfg.seed ^ 0x517A);
+                    super::make_slot(progs, c, w, &self.cfg, &rng)
+                });
+            }
+            let tokens = core.tx_tokens;
+            let Some(slot) = core.warps[w].as_mut() else {
                 continue;
             };
             if slot.warp.status(now) != gpu_simt::WarpStatus::Ready || slot.committing.is_some() {
@@ -53,11 +68,10 @@ impl Engine {
             // divergent memory latencies, so early arrivals must wait for
             // the open region to drain before opening the next one.
             let region_open = slot.warp.tx_stack.is_open();
-            let leader = slot.warp.threads.iter_mut().find_map(|t| {
-                if t.status != ThreadStatus::Ready {
-                    return None;
-                }
-                let op = t.fetch_op();
+            let ready_lanes = slot.warp.lanes_in(ThreadStatus::Ready);
+            let threads = &mut slot.warp.threads;
+            let leader = lanes_of(ready_lanes).find_map(|l| {
+                let op = threads[l as usize].fetch_op();
                 if region_open && op == Op::TxBegin {
                     return None;
                 }
@@ -82,12 +96,7 @@ impl Engine {
             *ready_slot = true;
         }
 
-        let mut sched = std::mem::replace(
-            &mut self.cores[c].sched,
-            gpu_simt::GtoScheduler::new(nwarps),
-        );
-        let pick = sched.pick(|w| ready[w]);
-        self.cores[c].sched = sched;
+        let pick = self.cores[c].sched.pick(|w| ready[w]);
         self.ready_buf = ready;
         if let Some(w) = pick {
             self.issue_warp(c, w)?;
@@ -95,69 +104,38 @@ impl Engine {
         Ok(())
     }
 
-    fn retire_and_refill(&mut self, c: usize) {
-        for w in 0..self.cores[c].warps.len() {
-            let finished = self.cores[c].warps[w]
-                .as_ref()
-                .is_some_and(|s| s.warp.all_finished());
-            if !finished {
-                continue;
-            }
-            self.cores[c].warps[w] = None;
-            self.live_warps -= 1;
-            if let Some(progs) = self.cores[c].pending_warps.pop_front() {
-                let new_slot = super::make_slot(
-                    progs,
-                    c,
-                    w,
-                    &self.cfg,
-                    &sim_core::DetRng::seeded(self.cfg.seed ^ 0x517A),
-                );
-                self.cores[c].warps[w] = Some(new_slot);
-            }
-        }
-    }
-
     fn issue_warp(&mut self, c: usize, w: usize) -> Result<(), SimError> {
-        let kind = {
+        let (kind, group) = {
             let slot = self.cores[c].warps[w].as_mut().expect("scheduled warp");
+            let ready = slot.warp.lanes_in(ThreadStatus::Ready);
+            let threads = &mut slot.warp.threads;
             // Mirror the readiness scan: TxBegin lanes are not issuable
             // while the region is open, so the leader is the first ready
             // lane that actually can go.
             let region_open = slot.warp.tx_stack.is_open();
-            slot.warp
-                .threads
-                .iter_mut()
-                .find_map(|t| {
-                    if t.status != ThreadStatus::Ready {
-                        return None;
-                    }
-                    let op = t.fetch_op();
+            let kind = lanes_of(ready)
+                .find_map(|l| {
+                    let op = threads[l as usize].fetch_op();
                     if region_open && op == Op::TxBegin {
                         return None;
                     }
                     Some(op.kind())
                 })
-                .expect("ready warp has an issuable lane")
-        };
-        // Group: every ready lane whose next op has the same kind.
-        let group: Vec<u32> = {
-            let slot = self.cores[c].warps[w].as_mut().expect("scheduled warp");
-            (0..slot.warp.threads.len() as u32)
-                .filter(|&l| {
-                    let t = &mut slot.warp.threads[l as usize];
-                    t.status == ThreadStatus::Ready && t.fetch_op().kind() == kind
-                })
-                .collect()
+                .expect("ready warp has an issuable lane");
+            // Group: every ready lane whose next op has the same kind.
+            let group = lanes_of(ready)
+                .filter(|&l| threads[l as usize].fetch_op().kind() == kind)
+                .fold(0, |m, l| m | 1 << l);
+            (kind, group)
         };
         match kind {
-            K::Compute => self.issue_compute(c, w, &group),
-            K::TxBegin => self.issue_tx_begin(c, w, &group),
-            K::TxLoad => self.issue_tx_access(c, w, &group, false)?,
-            K::TxStore => self.issue_tx_access(c, w, &group, true)?,
+            K::Compute => self.issue_compute(c, w, group),
+            K::TxBegin => self.issue_tx_begin(c, w, group),
+            K::TxLoad => self.issue_tx_access(c, w, group, false)?,
+            K::TxStore => self.issue_tx_access(c, w, group, true)?,
             K::TxCommit => {
                 let slot = self.cores[c].warps[w].as_mut().expect("warp");
-                for &l in &group {
+                for l in lanes_of(group) {
                     // A lane with store verdicts still in flight cannot be
                     // *guaranteed* to commit yet; it keeps its TxCommit
                     // staged and re-tries when the verdicts drain.
@@ -165,18 +143,18 @@ impl Engine {
                         continue;
                     }
                     slot.warp.tx_stack.lane_at_commit(l);
-                    slot.warp.threads[l as usize].status = ThreadStatus::AtCommit;
+                    slot.warp.set_status(l, ThreadStatus::AtCommit);
                     slot.warp.threads[l as usize].consume_op();
                 }
                 self.maybe_warp_commit(c, w);
             }
-            K::Load => self.issue_plain_load(c, w, &group)?,
-            K::Store => self.issue_plain_store(c, w, &group)?,
-            K::Atomic => self.issue_atomic(c, w, &group)?,
+            K::Load => self.issue_plain_load(c, w, group)?,
+            K::Store => self.issue_plain_store(c, w, group)?,
+            K::Atomic => self.issue_atomic(c, w, group)?,
             K::Done => {
                 let slot = self.cores[c].warps[w].as_mut().expect("warp");
-                for &l in &group {
-                    slot.warp.threads[l as usize].status = ThreadStatus::Finished;
+                for l in lanes_of(group) {
+                    slot.warp.set_status(l, ThreadStatus::Finished);
                     slot.warp.threads[l as usize].consume_op();
                 }
             }
@@ -184,10 +162,10 @@ impl Engine {
         Ok(())
     }
 
-    fn issue_compute(&mut self, c: usize, w: usize, group: &[u32]) {
+    fn issue_compute(&mut self, c: usize, w: usize, group: LaneMask) {
         let slot = self.cores[c].warps[w].as_mut().expect("warp");
         let mut cycles = 1u32;
-        for &l in group {
+        for l in lanes_of(group) {
             if let Some(Op::Compute(n)) = slot.warp.threads[l as usize].staged_op {
                 cycles = cycles.max(n);
             }
@@ -196,7 +174,7 @@ impl Engine {
         slot.warp.sleep_until = self.now + cycles as u64;
     }
 
-    fn issue_tx_begin(&mut self, c: usize, w: usize, group: &[u32]) {
+    fn issue_tx_begin(&mut self, c: usize, w: usize, group: LaneMask) {
         let now = self.now;
         let gwid = {
             let core = &mut self.cores[c];
@@ -209,19 +187,15 @@ impl Engine {
                 core.tx_tokens += 1;
                 slot.warp.holds_tx_token = true;
             }
-            let mut mask = 0u64;
-            for &l in group {
-                mask |= 1 << l;
-            }
-            slot.warp.tx_stack.begin(mask);
-            for &l in group {
+            slot.warp.tx_stack.begin(group);
+            slot.tcd_clean |= group;
+            slot.doomed &= !group;
+            for l in lanes_of(group) {
                 let t = &mut slot.warp.threads[l as usize];
                 t.consume_op();
                 t.in_tx = true;
                 t.logs.clear();
-                slot.tcd_clean[l as usize] = true;
                 slot.tx_begin[l as usize] = now;
-                slot.doomed[l as usize] = false;
                 self.hist.begin(c, slot.gwid.0, l, now.raw());
             }
             slot.obs_max_ts = 0;
@@ -238,7 +212,7 @@ impl Engine {
         &mut self,
         c: usize,
         w: usize,
-        group: &[u32],
+        group: LaneMask,
         is_store: bool,
     ) -> Result<(), SimError> {
         let geom = self.geom;
@@ -249,7 +223,7 @@ impl Engine {
         survivors.clear();
         let gwid = {
             let slot = self.cores[c].warps[w].as_mut().expect("warp");
-            for &l in group {
+            for l in lanes_of(group) {
                 let (addr, value) = match slot.warp.threads[l as usize].staged_op {
                     Some(Op::TxLoad(a)) => (a, 0),
                     Some(Op::TxStore(a, v)) => (a, v),
@@ -268,10 +242,11 @@ impl Engine {
                 // reads never commit and their reservations unwind at the
                 // round boundary — so counting them would let two lanes
                 // mutually kill each other forever.
+                let live = !slot.warp.lanes_in(ThreadStatus::Aborted);
                 let conflict = slot.warp.threads.iter().enumerate().any(|(ol, t)| {
                     ol as u32 != l
                         && t.in_tx
-                        && t.status != ThreadStatus::Aborted
+                        && live & (1 << ol) != 0
                         && (t.logs.wrote_granule(g) || (is_store && t.logs.read_granule(g, &geom)))
                 });
                 let t = &mut slot.warp.threads[l as usize];
@@ -290,7 +265,7 @@ impl Engine {
             }
             slot.gwid.0
         };
-        let aborted = (group.len() - survivors.len()) as u32;
+        let aborted = group.count_ones() - survivors.len() as u32;
         self.book_aborts(c, gwid, AbortCause::IntraWarp, aborted);
 
         // Phase 2: protocol routing.
@@ -307,11 +282,8 @@ impl Engine {
                 if is_store {
                     // Idealized eager check: validate the read log against
                     // committed memory instantly; a stale log aborts now.
-                    self.el_validate_lanes(
-                        c,
-                        w,
-                        &survivors.iter().map(|s| s.0).collect::<Vec<_>>(),
-                    );
+                    let lanes = survivors.iter().fold(0, |m, s| m | 1 << s.0);
+                    self.el_validate_lanes(c, w, lanes);
                 } else {
                     self.wtm_send_loads(c, w, &survivors);
                 }
@@ -403,7 +375,7 @@ impl Engine {
             if is_store {
                 slot.pending_stores[l as usize] += 1;
             } else {
-                slot.warp.threads[l as usize].status = ThreadStatus::Blocked;
+                slot.warp.set_status(l, ThreadStatus::Blocked);
             }
         }
         slot.warp.outstanding += 1;
@@ -427,16 +399,14 @@ impl Engine {
         );
     }
 
-    fn issue_plain_load(&mut self, c: usize, w: usize, group: &[u32]) -> Result<(), SimError> {
+    fn issue_plain_load(&mut self, c: usize, w: usize, group: LaneMask) -> Result<(), SimError> {
         let geom = self.geom;
         let use_l1 = self.system.is_tm();
         let mut by_granule = std::mem::take(&mut self.group_buf);
         {
             let slot = self.cores[c].warps[w].as_mut().expect("warp");
             let threads = &mut slot.warp.threads;
-            if group
-                .iter()
-                .any(|&l| !matches!(threads[l as usize].staged_op, Some(Op::Load(_))))
+            if lanes_of(group).any(|l| !matches!(threads[l as usize].staged_op, Some(Op::Load(_))))
             {
                 return Err(SimError::ProtocolViolation {
                     what: "staged op is not a plain load at issue",
@@ -444,7 +414,7 @@ impl Engine {
                     cycle: self.now.raw(),
                 });
             }
-            let loads = group.iter().map(|&l| {
+            let loads = lanes_of(group).map(|l| {
                 let t = &mut threads[l as usize];
                 let Some(Op::Load(a)) = t.staged_op else {
                     unreachable!("checked above")
@@ -494,13 +464,13 @@ impl Engine {
     /// Plain stores apply to the memory image immediately (GPU stores are
     /// fire-and-forget through a store buffer); the message only charges
     /// crossbar and LLC bandwidth.
-    fn issue_plain_store(&mut self, c: usize, w: usize, group: &[u32]) -> Result<(), SimError> {
+    fn issue_plain_store(&mut self, c: usize, w: usize, group: LaneMask) -> Result<(), SimError> {
         let geom = self.geom;
         let now = self.now;
         let mut sends: Vec<(usize, Addr, u64, u32)> = Vec::new();
         let gwid = {
             let slot = self.cores[c].warps[w].as_mut().expect("warp");
-            for &l in group {
+            for l in lanes_of(group) {
                 let Some(Op::Store(a, v)) = slot.warp.threads[l as usize].staged_op else {
                     return Err(SimError::ProtocolViolation {
                         what: "staged op is not a plain store at issue",
@@ -526,14 +496,14 @@ impl Engine {
         Ok(())
     }
 
-    fn issue_atomic(&mut self, c: usize, w: usize, group: &[u32]) -> Result<(), SimError> {
+    fn issue_atomic(&mut self, c: usize, w: usize, group: LaneMask) -> Result<(), SimError> {
         let geom = self.geom;
-        for &l in group {
+        for l in lanes_of(group) {
             let op = {
                 let slot = self.cores[c].warps[w].as_mut().expect("warp");
                 let staged = slot.warp.threads[l as usize].staged_op;
                 slot.warp.threads[l as usize].consume_op();
-                slot.warp.threads[l as usize].status = ThreadStatus::Blocked;
+                slot.warp.set_status(l, ThreadStatus::Blocked);
                 slot.warp.outstanding += 1;
                 match staged {
                     Some(Op::AtomicCas { addr, expect, new }) => {
@@ -652,19 +622,19 @@ impl Engine {
                     .max(reply.observed_rts);
                 if !is_store {
                     for (i, &(l, a)) in lanes.iter().enumerate() {
-                        let t = &mut slot.warp.threads[l as usize];
-                        if t.status != ThreadStatus::Blocked {
+                        if slot.warp.lane_status(l) != ThreadStatus::Blocked {
                             // The lane aborted (another access's verdict or
                             // an intra-warp conflict) while this load was
                             // in flight; drop the value.
                             continue;
                         }
+                        slot.warp.set_status(l, ThreadStatus::Ready);
+                        let t = &mut slot.warp.threads[l as usize];
                         // Read-own-writes forwarding beats the LLC value.
                         let fwd = t.logs.forwarded_value(a);
                         let v = fwd.or_else(|| values.get(i).copied()).unwrap_or(0);
                         t.logs.update_read_value(a, v);
                         t.pending_result = OpResult::Value(v);
-                        t.status = ThreadStatus::Ready;
                         // Forwarded reads never touched shared memory; only
                         // LLC-served values constrain serializability.
                         // `versions` is non-empty exactly when the partition
@@ -690,7 +660,7 @@ impl Engine {
                         slot.warp.threads[li].logs.remove_last_write(a, &geom);
                     }
                     // The lane may already have aborted for another reason.
-                    if slot.warp.threads[li].status == ThreadStatus::Aborted {
+                    if slot.warp.lane_status(l) == ThreadStatus::Aborted {
                         continue;
                     }
                     slot.warp.tx_stack.abort_lane(l);
@@ -743,7 +713,7 @@ impl Engine {
             self.stats.access_rt.observe(self.now.since(issued) as f64);
         }
         let el = self.system == TmSystem::WarpTmEL;
-        let mut el_lanes: Vec<u32> = Vec::new();
+        let mut el_lanes: LaneMask = 0;
         let mut doomed_aborts = 0u32;
         let gwid = {
             let Some(slot) = self.cores[core].warps[warp].as_mut() else {
@@ -756,10 +726,11 @@ impl Engine {
             slot.warp.outstanding -= 1;
             for (i, &(l, a)) in lanes.iter().enumerate() {
                 let li = l as usize;
-                if is_tx && slot.doomed[li] {
+                let bit = 1 << l;
+                if is_tx && slot.doomed & bit != 0 {
                     // EAPG marked this lane doomed while the load was in
                     // flight: abort instead of delivering.
-                    slot.doomed[li] = false;
+                    slot.doomed &= !bit;
                     slot.warp.tx_stack.abort_lane(l);
                     slot.abort_attempt(l, &self.hist, self.now.raw());
                     doomed_aborts += 1;
@@ -779,23 +750,22 @@ impl Engine {
                         // Cycle 0 means "never written" — the TCD table
                         // starts zeroed, and nothing commits at cycle 0.
                         if lw.raw() > 0 && lw >= slot.tx_begin[li] {
-                            slot.tcd_clean[li] = false;
+                            slot.tcd_clean &= !bit;
                         }
                     }
                 }
-                let t = &mut slot.warp.threads[li];
-                t.pending_result = OpResult::Value(v);
-                t.status = ThreadStatus::Ready;
+                slot.warp.threads[li].pending_result = OpResult::Value(v);
+                slot.warp.set_status(l, ThreadStatus::Ready);
                 if el && is_tx {
-                    el_lanes.push(l);
+                    el_lanes |= bit;
                 }
             }
             slot.gwid.0
         };
         self.book_aborts(core, gwid, AbortCause::EarlyAbort, doomed_aborts);
-        if el && !el_lanes.is_empty() {
+        if el_lanes != 0 {
             // Idealized per-access validation on the fresh read log.
-            self.el_validate_lanes(core, warp, &el_lanes);
+            self.el_validate_lanes(core, warp, el_lanes);
         }
         self.recycle_reply_buffers(lanes, values);
         if doomed_aborts > 0 {
@@ -820,9 +790,8 @@ impl Engine {
             });
         };
         slot.warp.outstanding -= 1;
-        let t = &mut slot.warp.threads[lane as usize];
-        t.pending_result = OpResult::Value(old);
-        t.status = ThreadStatus::Ready;
+        slot.warp.threads[lane as usize].pending_result = OpResult::Value(old);
+        slot.warp.set_status(lane, ThreadStatus::Ready);
         // Lanes drift through non-transactional ops, so this atomic can be
         // the last in-flight access holding up a sibling region's commit.
         self.maybe_warp_commit(core, warp);
@@ -831,14 +800,14 @@ impl Engine {
 
     /// WarpTM-EL idealized validation: compare the lanes' read logs against
     /// the committed image, aborting stale lanes at zero cost.
-    fn el_validate_lanes(&mut self, c: usize, w: usize, lanes: &[u32]) {
+    fn el_validate_lanes(&mut self, c: usize, w: usize, lanes: LaneMask) {
         let mut aborted = 0u32;
         let gwid = {
             let mem = &self.mem;
             let slot = self.cores[c].warps[w].as_mut().expect("warp alive");
-            for &l in lanes {
+            for l in lanes_of(lanes) {
                 let t = &slot.warp.threads[l as usize];
-                if t.status == ThreadStatus::Aborted || !t.in_tx {
+                if slot.warp.lane_status(l) == ThreadStatus::Aborted || !t.in_tx {
                     continue;
                 }
                 let valid = t
@@ -874,20 +843,22 @@ impl Engine {
                 if !slot.warp.tx_stack.is_open() || slot.committing.is_some() {
                     continue;
                 }
-                for l in 0..slot.warp.threads.len() {
-                    let t = &slot.warp.threads[l];
-                    if !t.in_tx || !matches!(t.status, ThreadStatus::Ready | ThreadStatus::Blocked)
+                let ready = slot.warp.lanes_in(ThreadStatus::Ready);
+                let blocked = slot.warp.lanes_in(ThreadStatus::Blocked);
+                for l in lanes_of(ready | blocked) {
+                    let t = &slot.warp.threads[l as usize];
+                    if !t.in_tx
+                        || eapg::on_broadcast(&t.logs, writes, &self.geom)
+                            != EapgDecision::EarlyAbort
                     {
                         continue;
                     }
-                    if eapg::on_broadcast(&t.logs, writes, &self.geom) == EapgDecision::EarlyAbort {
-                        if t.status == ThreadStatus::Ready {
-                            slot.warp.tx_stack.abort_lane(l as u32);
-                            slot.abort_attempt(l as u32, &self.hist, now);
-                            aborted += 1;
-                        } else {
-                            slot.doomed[l] = true;
-                        }
+                    if ready & (1 << l) != 0 {
+                        slot.warp.tx_stack.abort_lane(l);
+                        slot.abort_attempt(l, &self.hist, now);
+                        aborted += 1;
+                    } else {
+                        slot.doomed |= 1 << l;
                     }
                 }
                 slot.gwid.0
@@ -1023,7 +994,7 @@ impl Engine {
                     continue;
                 }
                 let read_only = slot.warp.threads[l].logs.is_read_only();
-                if read_only && slot.tcd_clean[l] {
+                if read_only && slot.tcd_clean & (1 << l) != 0 {
                     slot.commit_attempt(l as u32, &mut self.stats, &self.hist, self.now.raw());
                     self.stats.silent_commits += 1;
                 } else {
@@ -1407,19 +1378,17 @@ impl Engine {
                     SimEvent::BackoffSleep { delay },
                 )
             });
-            for l in 0..slot.warp.threads.len() {
-                if restart & (1 << l) != 0 {
-                    let t = &mut slot.warp.threads[l];
-                    t.rollback();
-                    t.status = ThreadStatus::Ready;
-                    t.in_tx = true;
-                    slot.doomed[l] = false;
-                    slot.tcd_clean[l] = true;
-                    slot.tx_begin[l] = now;
-                    // The runtime re-enters the region without re-issuing
-                    // TxBegin, so the retry attempt opens here.
-                    self.hist.begin(c, gwid, l as u32, now.raw());
-                }
+            slot.doomed &= !restart;
+            slot.tcd_clean |= restart;
+            for l in lanes_of(restart) {
+                let t = &mut slot.warp.threads[l as usize];
+                t.rollback();
+                t.in_tx = true;
+                slot.warp.set_status(l, ThreadStatus::Ready);
+                slot.tx_begin[l as usize] = now;
+                // The runtime re-enters the region without re-issuing
+                // TxBegin, so the retry attempt opens here.
+                self.hist.begin(c, gwid, l, now.raw());
             }
         } else {
             // Region closed.
@@ -1435,10 +1404,10 @@ impl Engine {
                 self.rollover_pending = true;
             }
             slot.warp.backoff.reset();
+            for l in lanes_of(slot.warp.lanes_in(ThreadStatus::AtCommit)) {
+                slot.warp.set_status(l, ThreadStatus::Ready);
+            }
             for t in slot.warp.threads.iter_mut() {
-                if t.status == ThreadStatus::AtCommit {
-                    t.status = ThreadStatus::Ready;
-                }
                 if t.in_tx {
                     t.in_tx = false;
                     t.logs.clear();

@@ -37,7 +37,8 @@ use gpu_mem::{
     Addr, BankedMem, Crossbar, Delivery, DramChannel, Geometry, Granule, LineAddr, MemImage,
     SetAssocCache,
 };
-use gpu_simt::{Backoff, GtoScheduler, LaneList, ThreadStatus, Warp};
+use gpu_simt::stack::{lanes_of, LaneMask};
+use gpu_simt::{Backoff, GtoScheduler, LaneList, Op, ThreadStatus, Warp};
 use sim_core::history::HistoryRecorder;
 use sim_core::trace::{Recorder, SimEvent, Stamp, WatchdogStage};
 use sim_core::{CancelToken, Cycle, DetRng, LivelockReport, SimError, TokenSlab};
@@ -174,12 +175,12 @@ pub(crate) struct CommitCtx {
 /// Extra per-warp state the engine tracks beside `gpu_simt::Warp`.
 pub(crate) struct WarpSlot {
     pub warp: Warp,
-    /// Per-lane: reads so far all predate the transaction start (TCD).
-    pub tcd_clean: Vec<bool>,
+    /// Lanes whose reads so far all predate the transaction start (TCD).
+    pub tcd_clean: LaneMask,
     /// Per-lane transaction start cycle (TCD reference point).
     pub tx_begin: Vec<Cycle>,
-    /// Per-lane EAPG doom marks (abort at next reply).
-    pub doomed: Vec<bool>,
+    /// Lanes an EAPG broadcast doomed (abort at next reply).
+    pub doomed: LaneMask,
     /// Per-lane count of in-flight (non-blocking) transactional stores.
     pub pending_stores: Vec<u32>,
     /// Token of the WarpTM commit in flight, if any.
@@ -198,7 +199,7 @@ impl WarpSlot {
     /// stack itself (`abort_lane` mid-region, `fail_commit_lanes` at the
     /// commit point) and books the abort with `Engine::book_aborts`.
     pub(crate) fn abort_attempt(&mut self, l: u32, hist: &HistoryRecorder, now: u64) {
-        self.warp.threads[l as usize].status = ThreadStatus::Aborted;
+        self.warp.set_status(l, ThreadStatus::Aborted);
         hist.abort(self.gwid.0, l, now);
     }
 
@@ -942,7 +943,10 @@ impl Engine {
                     .warp
                     .threads
                     .iter()
-                    .map(|t| format!("{:?}/{:?}", t.status, t.staged_op))
+                    .enumerate()
+                    .map(|(l, t)| {
+                        format!("{:?}/{:?}", slot.warp.lane_status(l as u32), t.staged_op)
+                    })
                     .collect();
                 let _ = writeln!(
                     s,
@@ -991,12 +995,10 @@ impl Engine {
                     } else {
                         self.stats.tx_exec_cycles += span;
                     }
-                } else if slot.warp.any_ready() && !slot.warp.all_finished() {
+                } else if slot.warp.any_ready() {
                     // Throttled at TxBegin?
-                    let wants_tx = slot.warp.threads.iter().any(|t| {
-                        t.status == gpu_simt::ThreadStatus::Ready
-                            && t.staged_op == Some(gpu_simt::Op::TxBegin)
-                    });
+                    let wants_tx = lanes_of(slot.warp.lanes_in(ThreadStatus::Ready))
+                        .any(|l| slot.warp.threads[l as usize].staged_op == Some(Op::TxBegin));
                     if wants_tx {
                         if let Some(limit) = self.cfg.tx_concurrency {
                             if core.tx_tokens >= limit {
@@ -1180,9 +1182,9 @@ fn make_slot(
     warp.warpts = gwid.0 as u64;
     WarpSlot {
         warp,
-        tcd_clean: vec![true; width],
+        tcd_clean: LaneMask::MAX,
         tx_begin: vec![Cycle::ZERO; width],
-        doomed: vec![false; width],
+        doomed: 0,
         pending_stores: vec![0; width],
         committing: None,
         obs_max_ts: 0,

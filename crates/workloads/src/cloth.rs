@@ -64,8 +64,38 @@ impl Cloth {
         self.rows * self.cols
     }
 
-    /// Structural edges: right and down neighbours of each particle.
-    fn edges(&self) -> Vec<(u64, u64)> {
+    /// Edges in the interior rows: right then down per column, only down
+    /// at the last column.
+    fn edges_per_row(&self) -> u64 {
+        2 * self.cols - 1
+    }
+
+    /// Edge `i` of [`Cloth::edges`], in closed form.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is not below [`Workload::thread_count`].
+    pub fn edge(&self, i: u64) -> (u64, u64) {
+        assert!(i < self.thread_count() as u64, "edge {i} out of range");
+        let row = i / self.edges_per_row();
+        if row + 1 < self.rows {
+            let k = i % self.edges_per_row();
+            let p = row * self.cols + k / 2;
+            if k.is_multiple_of(2) && k / 2 + 1 < self.cols {
+                (p, p + 1)
+            } else {
+                (p, p + self.cols)
+            }
+        } else {
+            // The last row holds only its `cols - 1` right edges.
+            let p = row * self.cols + i % self.edges_per_row();
+            (p, p + 1)
+        }
+    }
+
+    /// Structural edges: right and down neighbours of each particle, in
+    /// row-major particle order. Thread `i` relaxes edge `i`.
+    pub fn edges(&self) -> Vec<(u64, u64)> {
         let mut e = Vec::new();
         for r in 0..self.rows {
             for c in 0..self.cols {
@@ -98,11 +128,11 @@ impl Workload for Cloth {
     }
 
     fn thread_count(&self) -> usize {
-        self.edges().len()
+        ((self.rows - 1) * self.edges_per_row() + self.cols - 1) as usize
     }
 
     fn program(&self, tid: usize, mode: SyncMode) -> BoxedProgram {
-        let (a, b) = self.edges()[tid];
+        let (a, b) = self.edge(tid as u64);
         match mode {
             SyncMode::Tm => Box::new(TmEdge {
                 a,
@@ -339,6 +369,25 @@ mod tests {
         for (a, b) in edges {
             assert!(b == a + 1 || b == a + 3);
         }
+    }
+
+    #[test]
+    fn closed_form_edges_match_the_edge_list() {
+        for (rows, cols) in [(2, 2), (2, 5), (5, 2), (7, 3), (80, 80), (175, 175)] {
+            let c = Cloth::cl(rows, cols, 1);
+            let edges = c.edges();
+            assert_eq!(c.thread_count(), edges.len(), "{rows}x{cols}");
+            for (i, &e) in edges.iter().enumerate() {
+                assert_eq!(c.edge(i as u64), e, "{rows}x{cols} edge {i}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn edge_past_the_end_panics() {
+        let c = Cloth::cl(3, 3, 1);
+        c.edge(c.thread_count() as u64);
     }
 
     #[test]
