@@ -95,12 +95,31 @@ fn baseline_speedup(json: &str, name: &str) -> Option<f64> {
 
 const USAGE: &str = "usage: enginebench [--write FILE | --check FILE]";
 
+/// What to do with the measured rows.
+enum Mode {
+    Print,
+    Write(String),
+    Check(String),
+}
+
 fn main() {
+    // Parse the flags before measuring: a bad command line exits at once,
+    // with nothing on stdout.
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let file = |flag: &str| {
-        args.get(1)
-            .cloned()
-            .unwrap_or_else(|| exit_usage(&format!("{flag} needs a FILE"), USAGE))
+    let mode = match args.first().map(String::as_str) {
+        None => Mode::Print,
+        Some(flag @ ("--write" | "--check")) => {
+            let path = args
+                .get(1)
+                .cloned()
+                .unwrap_or_else(|| exit_usage(&format!("{flag} needs a FILE"), USAGE));
+            if flag == "--write" {
+                Mode::Write(path)
+            } else {
+                Mode::Check(path)
+            }
+        }
+        Some(other) => exit_usage(&format!("unknown flag {other:?}"), USAGE),
     };
     let cfg = GpuConfig::tiny_test();
     let atm = Benchmark::Atm.build(Scale::Fast);
@@ -122,14 +141,13 @@ fn main() {
         );
     }
 
-    match args.first().map(String::as_str) {
-        Some("--write") => {
-            let path = file("--write");
+    match mode {
+        Mode::Print => {}
+        Mode::Write(path) => {
             std::fs::write(&path, render(&rows)).expect("write baseline");
             println!("baseline written to {path}");
         }
-        Some("--check") => {
-            let path = file("--check");
+        Mode::Check(path) => {
             let json = std::fs::read_to_string(&path).expect("read baseline");
             let mut failed = false;
             for r in &rows {
@@ -152,7 +170,5 @@ fn main() {
                 std::process::exit(1);
             }
         }
-        Some(other) => exit_usage(&format!("unknown flag {other:?}"), USAGE),
-        None => {}
     }
 }

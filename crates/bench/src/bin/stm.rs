@@ -135,9 +135,17 @@ fn main() -> ExitCode {
         };
         match arg.as_str() {
             "--threads" => {
-                threads = value("--threads").parse().unwrap_or_else(|e| {
-                    exit_usage(&format!("--threads needs an integer: {e}"), STM_USAGE)
-                });
+                let v = value("--threads");
+                threads = v
+                    .parse()
+                    .ok()
+                    .filter(|&n: &usize| n > 0)
+                    .unwrap_or_else(|| {
+                        exit_usage(
+                            &format!("--threads needs a positive integer, got {v:?}"),
+                            STM_USAGE,
+                        )
+                    });
             }
             "--fuzz" => fuzz = true,
             "--tiny" => tiny = true,

@@ -28,3 +28,17 @@ fn fig_rejects_an_unknown_flag_and_an_unknown_id() {
     assert_usage_exit(fig, &["--bogus"], "common flags");
     assert_usage_exit(fig, &["fig99"], "usage: fig <");
 }
+
+#[test]
+fn stm_rejects_zero_threads() {
+    let stm = env!("CARGO_BIN_EXE_stm");
+    assert_usage_exit(stm, &["--tiny", "--threads", "0"], "usage: stm");
+    assert_usage_exit(stm, &["--tiny", "--threads", "0"], "positive integer");
+}
+
+#[test]
+fn enginebench_rejects_bad_flags_before_measuring() {
+    let bench = env!("CARGO_BIN_EXE_enginebench");
+    assert_usage_exit(bench, &["--bogus"], "usage: enginebench");
+    assert_usage_exit(bench, &["--check"], "--check needs a FILE");
+}

@@ -4,82 +4,40 @@
 //! is ready; when it stalls, the scheduler falls back to the *oldest* ready
 //! warp (lowest slot index, matching the baseline GPU's age order).
 
-/// A GTO scheduler over `n` warp slots.
+/// A GTO scheduler: all it remembers is the greedy warp.
 ///
 /// ```
 /// use gpu_simt::GtoScheduler;
 ///
-/// let mut s = GtoScheduler::new(4);
+/// let mut s = GtoScheduler::default();
 /// // Warps 1 and 3 are ready; nothing issued yet, so the oldest wins.
-/// assert_eq!(s.pick(|w| w == 1 || w == 3), Some(1));
+/// assert_eq!(s.pick(0b1010), Some(1));
 /// // Greedy: warp 1 keeps the slot while it stays ready.
-/// assert_eq!(s.pick(|w| w == 1 || w == 3), Some(1));
+/// assert_eq!(s.pick(0b1010), Some(1));
 /// // Warp 1 stalls: fall back to the oldest ready warp.
-/// assert_eq!(s.pick(|w| w == 3), Some(3));
+/// assert_eq!(s.pick(0b1000), Some(3));
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct GtoScheduler {
-    n: usize,
     last: Option<usize>,
-    picks: u64,
-    greedy_hits: u64,
 }
 
 impl GtoScheduler {
-    /// Creates a scheduler over `n` warp slots.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` is zero.
-    pub fn new(n: usize) -> Self {
-        assert!(n > 0, "scheduler needs at least one warp slot");
-        GtoScheduler {
-            n,
-            last: None,
-            picks: 0,
-            greedy_hits: 0,
-        }
-    }
-
-    /// Picks the next warp to issue from, where `ready(w)` reports whether
-    /// slot `w` can issue this cycle. Returns `None` when nothing is ready.
-    pub fn pick(&mut self, mut ready: impl FnMut(usize) -> bool) -> Option<usize> {
+    /// Picks the next warp to issue from, where bit `w` of `ready` is set
+    /// if slot `w` can issue this cycle. Returns `None` when nothing is
+    /// ready, leaving the greedy warp in place.
+    pub fn pick(&mut self, ready: u64) -> Option<usize> {
         if let Some(last) = self.last {
-            if ready(last) {
-                self.picks += 1;
-                self.greedy_hits += 1;
+            if ready >> last & 1 == 1 {
                 return Some(last);
             }
         }
-        for w in 0..self.n {
-            if ready(w) {
-                self.last = Some(w);
-                self.picks += 1;
-                return Some(w);
-            }
+        if ready == 0 {
+            return None;
         }
-        None
-    }
-
-    /// Number of slots.
-    pub fn slots(&self) -> usize {
-        self.n
-    }
-
-    /// Total successful picks (cycles where some warp issued).
-    pub fn picks(&self) -> u64 {
-        self.picks
-    }
-
-    /// Picks that stayed greedily with the previous warp — the GTO "greedy
-    /// hit rate" numerator, an issue-locality gauge for the trace layer.
-    pub fn greedy_hits(&self) -> u64 {
-        self.greedy_hits
-    }
-
-    /// Forgets the greedy warp (e.g. when it finished its thread block).
-    pub fn reset_greedy(&mut self) {
-        self.last = None;
+        let w = ready.trailing_zeros() as usize;
+        self.last = Some(w);
+        Some(w)
     }
 }
 
@@ -89,32 +47,39 @@ mod tests {
 
     #[test]
     fn oldest_first_when_idle() {
-        let mut s = GtoScheduler::new(8);
-        assert_eq!(s.pick(|w| w >= 5), Some(5));
+        let mut s = GtoScheduler::default();
+        assert_eq!(s.pick(0b1110_0000), Some(5));
     }
 
     #[test]
     fn greedy_sticks_with_last() {
-        let mut s = GtoScheduler::new(8);
-        assert_eq!(s.pick(|w| w == 6), Some(6));
+        let mut s = GtoScheduler::default();
+        assert_eq!(s.pick(1 << 6), Some(6));
         // Even though warp 0 became ready, greedy prefers 6.
-        assert_eq!(s.pick(|_| true), Some(6));
+        assert_eq!(s.pick(0xFF), Some(6));
     }
 
     #[test]
     fn falls_back_to_oldest_on_stall() {
-        let mut s = GtoScheduler::new(8);
-        assert_eq!(s.pick(|w| w == 6), Some(6));
-        assert_eq!(s.pick(|w| w == 2 || w == 4), Some(2));
+        let mut s = GtoScheduler::default();
+        assert_eq!(s.pick(1 << 6), Some(6));
+        assert_eq!(s.pick(1 << 2 | 1 << 4), Some(2));
         // New greedy warp is 2.
-        assert_eq!(s.pick(|w| w == 2 || w == 4), Some(2));
+        assert_eq!(s.pick(1 << 2 | 1 << 4), Some(2));
     }
 
     #[test]
     fn none_when_nothing_ready() {
-        let mut s = GtoScheduler::new(4);
-        assert_eq!(s.pick(|_| false), None);
-        assert_eq!(s.picks(), 0);
+        let mut s = GtoScheduler::default();
+        assert_eq!(s.pick(0), None);
+    }
+
+    #[test]
+    fn top_slot_of_a_64_slot_core() {
+        let mut s = GtoScheduler::default();
+        assert_eq!(s.pick(1 << 63), Some(63));
+        assert_eq!(s.pick(1 << 63 | 1), Some(63));
+        assert_eq!(s.pick(1), Some(0));
     }
 
     #[test]
@@ -122,35 +87,14 @@ mod tests {
         // The engine's idle skip-ahead elides cycles where no warp is ready
         // without consulting the scheduler. That is only sound because a
         // pick with nothing ready leaves the scheduler untouched: same
-        // greedy warp, same counters, so skipping N such cycles is
-        // indistinguishable from calling `pick` N times in them.
-        let mut s = GtoScheduler::new(4);
-        assert_eq!(s.pick(|w| w == 2), Some(2));
+        // greedy warp, so skipping N such cycles is indistinguishable from
+        // calling `pick` N times in them.
+        let mut s = GtoScheduler::default();
+        assert_eq!(s.pick(1 << 2), Some(2));
         for _ in 0..100 {
-            assert_eq!(s.pick(|_| false), None);
+            assert_eq!(s.pick(0), None);
         }
-        assert_eq!(s.picks(), 1);
-        assert_eq!(s.greedy_hits(), 0);
-        // Greedy state survived the dry spell.
-        assert_eq!(s.pick(|_| true), Some(2));
-        assert_eq!(s.greedy_hits(), 1);
-    }
-
-    #[test]
-    fn pick_counters_track_greedy_locality() {
-        let mut s = GtoScheduler::new(4);
-        assert_eq!(s.pick(|w| w == 1), Some(1)); // cold pick
-        assert_eq!(s.pick(|w| w == 1), Some(1)); // greedy hit
-        assert_eq!(s.pick(|w| w == 2), Some(2)); // fallback
-        assert_eq!(s.picks(), 3);
-        assert_eq!(s.greedy_hits(), 1);
-    }
-
-    #[test]
-    fn reset_greedy_returns_to_age_order() {
-        let mut s = GtoScheduler::new(4);
-        assert_eq!(s.pick(|w| w == 3), Some(3));
-        s.reset_greedy();
-        assert_eq!(s.pick(|_| true), Some(0));
+        // Greedy state survived the dry spell: warp 2 beats the older 0.
+        assert_eq!(s.pick(0b1111), Some(2));
     }
 }

@@ -417,10 +417,12 @@ impl GpuConfig {
         if self.cores == 0 {
             return Err(SimError::invalid_config("cores", "must be nonzero"));
         }
-        if self.warps_per_core == 0 || self.warp_width == 0 || self.warp_width > 64 {
+        // Both limits are the width of a mask: a warp's lanes and a core's
+        // occupied slots are each tracked in one `u64`.
+        if !(1..=64).contains(&self.warps_per_core) || !(1..=64).contains(&self.warp_width) {
             return Err(SimError::invalid_config(
                 "warps",
-                "warps_per_core must be nonzero and warp_width in 1..=64",
+                "warps_per_core and warp_width must each be in 1..=64",
             ));
         }
         if self.partitions == 0 {
@@ -608,6 +610,9 @@ mod tests {
         assert!(c.validate().is_err());
         let mut c = GpuConfig::tiny_test();
         c.warp_width = 65;
+        assert!(c.validate().is_err());
+        let mut c = GpuConfig::tiny_test();
+        c.warps_per_core = 65;
         assert!(c.validate().is_err());
     }
 

@@ -35,25 +35,27 @@ impl Engine {
         // serialized, only the priority warp may open new regions.
         let serialized = self.wd.mode == super::WdMode::Serialized;
         let priority = self.wd.priority;
-        let nwarps = self.cores[c].warps.len();
-        let mut ready = std::mem::take(&mut self.ready_buf);
-        ready.clear();
-        ready.resize(nwarps, false);
-        for (w, ready_slot) in ready.iter_mut().enumerate() {
+        let mut ready = 0u64;
+        for w in lanes_of(self.cores[c].occupied) {
+            let w = w as usize;
             let core = &mut self.cores[c];
             // Retire a finished warp and refill its slot from the pending
             // queue. A refill depends only on its own slot and the queue,
             // so retiring here, slot by slot, is the same as a separate
-            // pass in front of this one.
+            // pass in front of this one. Bits are only ever cleared here,
+            // so walking the mask read at the top visits every occupied
+            // slot in ascending order.
             if core.warps[w]
                 .as_ref()
                 .is_some_and(|s| s.warp.all_finished())
             {
-                self.live_warps -= 1;
                 core.warps[w] = core.pending_warps.pop_front().map(|progs| {
                     let rng = sim_core::DetRng::seeded(self.cfg.seed ^ 0x517A);
                     super::make_slot(progs, c, w, &self.cfg, &rng)
                 });
+                if core.warps[w].is_none() {
+                    core.occupied &= !(1 << w);
+                }
             }
             let tokens = core.tx_tokens;
             let Some(slot) = core.warps[w].as_mut() else {
@@ -93,12 +95,10 @@ impl Engine {
                     }
                 }
             }
-            *ready_slot = true;
+            ready |= 1 << w;
         }
 
-        let pick = self.cores[c].sched.pick(|w| ready[w]);
-        self.ready_buf = ready;
-        if let Some(w) = pick {
+        if let Some(w) = self.cores[c].sched.pick(ready) {
             self.issue_warp(c, w)?;
         }
         Ok(())

@@ -37,7 +37,7 @@ use gpu_mem::{
     Addr, BankedMem, Crossbar, Delivery, DramChannel, Geometry, Granule, LineAddr, MemImage,
     SetAssocCache,
 };
-use gpu_simt::stack::{lanes_of, LaneMask};
+use gpu_simt::stack::{full_mask, lanes_of, LaneMask};
 use gpu_simt::{Backoff, GtoScheduler, LaneList, Op, ThreadStatus, Warp};
 use sim_core::history::HistoryRecorder;
 use sim_core::trace::{Recorder, SimEvent, Stamp, WatchdogStage};
@@ -224,12 +224,22 @@ impl WarpSlot {
 /// One SIMT core.
 pub(crate) struct CoreState {
     pub warps: Vec<Option<WarpSlot>>,
+    /// Bit `w` is set iff `warps[w]` holds a warp: the one record of which
+    /// slots are occupied. The per-cycle walks visit only these bits.
+    pub occupied: u64,
     pub sched: GtoScheduler,
     pub l1: SetAssocCache,
     /// Warps currently holding a transactional-concurrency token.
     pub tx_tokens: u32,
     /// Warps (as per-lane program vectors) waiting for a free slot.
     pub pending_warps: VecDeque<Vec<gpu_simt::BoxedProgram>>,
+}
+
+impl CoreState {
+    /// The occupied slots, in ascending slot order.
+    pub(crate) fn occupied_slots(&self) -> impl Iterator<Item = &WarpSlot> {
+        lanes_of(self.occupied).filter_map(|w| self.warps[w as usize].as_ref())
+    }
 }
 
 /// One memory partition: LLC bank plus the TM units.
@@ -305,8 +315,6 @@ pub struct Engine {
     /// Transaction-history gate for the serializability checker, following
     /// the same zero-cost-when-off discipline as `rec`.
     pub(crate) hist: HistoryRecorder,
-    /// Live warps that still have unfinished threads.
-    pub(crate) live_warps: usize,
     /// A logical clock hit `ts_limit`: new transactions are held while the
     /// machine quiesces, then every clock and metadata table resets.
     pub(crate) rollover_pending: bool,
@@ -326,8 +334,6 @@ pub struct Engine {
     pub(crate) up_buf: Vec<Delivery<UpMsg>>,
     /// Drain buffer for down-crossbar deliveries.
     pub(crate) down_buf: Vec<Delivery<DownMsg>>,
-    /// Per-core warp-readiness scratch (`issue_core`).
-    pub(crate) ready_buf: Vec<bool>,
     /// Intra-warp conflict survivor scratch (`issue_tx_access`).
     pub(crate) survivors_buf: Vec<(u32, Addr, u64)>,
     /// Granule-coalescing scratch: groups of `(lane, addr)` per granule.
@@ -392,26 +398,23 @@ impl Engine {
         let mut cores = Vec::with_capacity(cfg.cores as usize);
         for (c, mut queue) in per_core.into_iter().enumerate() {
             let mut warps: Vec<Option<WarpSlot>> = Vec::new();
+            let mut occupied = 0;
             for w in 0..cfg.warps_per_core as usize {
-                warps.push(
-                    queue
-                        .pop_front()
-                        .map(|progs| make_slot(progs, c, w, cfg, &root_rng)),
-                );
+                let slot = queue
+                    .pop_front()
+                    .map(|progs| make_slot(progs, c, w, cfg, &root_rng));
+                occupied |= u64::from(slot.is_some()) << w;
+                warps.push(slot);
             }
             cores.push(CoreState {
                 warps,
-                sched: GtoScheduler::new(cfg.warps_per_core as usize),
+                occupied,
+                sched: GtoScheduler::default(),
                 l1: SetAssocCache::new(cfg.l1),
                 tx_tokens: 0,
                 pending_warps: queue,
             });
         }
-        let live_warps = cores
-            .iter()
-            .map(|c| c.warps.iter().filter(|w| w.is_some()).count() + c.pending_warps.len())
-            .sum();
-
         let parts = (0..cfg.partitions as usize)
             .map(|p| {
                 let mut vu_rng = root_rng.fork(0x9A57 + p as u64);
@@ -446,14 +449,12 @@ impl Engine {
             stats: EngineStats::default(),
             rec: Recorder::off(),
             hist: HistoryRecorder::off(),
-            live_warps,
             rollover_pending: false,
             wd: WatchdogState::new(&cfg.watchdog, system.is_tm()),
             cancel: None,
             idle_skip: !cfg!(feature = "legacy-loop"),
             up_buf: Vec::new(),
             down_buf: Vec::new(),
-            ready_buf: Vec::new(),
             survivors_buf: Vec::new(),
             group_buf: Vec::new(),
             lane_pool: Vec::new(),
@@ -543,31 +544,36 @@ impl Engine {
     /// modelled behaviour).
     pub fn run(&mut self) -> Result<Metrics, SimError> {
         while !self.drained() {
-            let now = self.now.raw();
-            if now >= self.cfg.max_cycles {
-                return Err(SimError::CycleLimitExceeded {
-                    limit: self.cfg.max_cycles,
-                });
-            }
-            if now >= self.wd.next_check {
-                self.watchdog_tick()?;
-            }
-            // Poll the cancel flag on a coarse cycle mask: one atomic load
-            // per 8192 cycles keeps the cost unmeasurable.
-            if now & 0x1FFF == 0 {
-                if let Some(tok) = &self.cancel {
-                    if tok.is_cancelled() {
-                        return Err(SimError::Interrupted { cycle: now });
-                    }
-                }
-            }
-            if self.try_idle_skip() {
-                continue;
-            }
-            self.step()?;
+            self.tick()?;
         }
         self.wd.finalize(self.stats.commits);
         Ok(self.collect_metrics())
+    }
+
+    /// Advances the clock once: by one cycle, or over an idle span.
+    fn tick(&mut self) -> Result<(), SimError> {
+        let now = self.now.raw();
+        if now >= self.cfg.max_cycles {
+            return Err(SimError::CycleLimitExceeded {
+                limit: self.cfg.max_cycles,
+            });
+        }
+        if now >= self.wd.next_check {
+            self.watchdog_tick()?;
+        }
+        // Poll the cancel flag on a coarse cycle mask: one atomic load
+        // per 8192 cycles keeps the cost unmeasurable.
+        if now & 0x1FFF == 0 {
+            if let Some(tok) = &self.cancel {
+                if tok.is_cancelled() {
+                    return Err(SimError::Interrupted { cycle: now });
+                }
+            }
+        }
+        if self.try_idle_skip() {
+            return Ok(());
+        }
+        self.step()
     }
 
     /// One cycle. See the module docs for the phase structure.
@@ -636,7 +642,7 @@ impl Engine {
             .min(self.wd.next_check)
             .min((now.raw() | 0x1FFF) + 1);
         for core in &self.cores {
-            for slot in core.warps.iter().flatten() {
+            for slot in core.occupied_slots() {
                 let warp = &slot.warp;
                 if warp.all_finished() {
                     // Retirement (and a possible refill from the pending
@@ -656,7 +662,8 @@ impl Engine {
                     None => {}
                 }
             }
-            if !core.pending_warps.is_empty() && core.warps.iter().any(|w| w.is_none()) {
+            if !core.pending_warps.is_empty() && core.occupied != full_mask(core.warps.len() as u32)
+            {
                 // A queued warp could be placed into the free slot.
                 return false;
             }
@@ -896,7 +903,9 @@ impl Engine {
     }
 
     fn drained(&self) -> bool {
-        self.live_warps == 0
+        self.cores
+            .iter()
+            .all(|c| c.occupied == 0 && c.pending_warps.is_empty())
             && self.up.in_flight() == 0
             && self.down.in_flight() == 0
             && self.pending.is_empty()
@@ -927,7 +936,10 @@ impl Engine {
             s,
             "t={} live_warps={} pending={} commits_in_flight={} up={} down={}",
             self.now,
-            self.live_warps,
+            self.cores
+                .iter()
+                .map(|c| c.occupied.count_ones() as usize + c.pending_warps.len())
+                .sum::<usize>(),
             self.pending.len(),
             self.commits_in_flight.len(),
             self.up.in_flight(),
@@ -986,8 +998,8 @@ impl Engine {
     /// no message arrives inside it).
     fn sample_stats(&mut self, span: u64) {
         let now = self.now;
-        for core in &mut self.cores {
-            for slot in core.warps.iter().flatten() {
+        for core in &self.cores {
+            for slot in core.occupied_slots() {
                 if slot.warp.in_tx() || slot.committing.is_some() {
                     if now < slot.warp.sleep_until && slot.warp.outstanding == 0 {
                         // Abort backoff: waiting.
@@ -1216,5 +1228,32 @@ mod tests {
             "skip must not fire while warps have ready work"
         );
         assert_eq!(e.now, Cycle::ZERO);
+    }
+
+    /// Steps a full 64-slot core one cycle at a time and checks, after
+    /// every cycle, that its `occupied` mask has exactly the bits of its
+    /// occupied slots. The run goes through every phase of a slot's life:
+    /// all 64 slots full with 36 warps queued, refills from the queue as
+    /// warps retire, and then slots emptying until the core drains.
+    #[test]
+    fn occupancy_masks_track_the_slots_every_cycle() {
+        let mut cfg = GpuConfig::tiny_test();
+        cfg.cores = 1;
+        cfg.warps_per_core = 64;
+        cfg.warp_width = 1;
+        let w = workloads::atm::Atm::new(64, 100, 2, 5);
+        for system in TmSystem::ALL {
+            let mut e = Engine::new(&w, system, &cfg).expect("engine builds");
+            e.set_idle_skip(false);
+            let core = &e.cores[0];
+            assert_eq!((core.occupied, core.pending_warps.len()), (u64::MAX, 36));
+            while !e.drained() {
+                e.tick().expect("cycle runs");
+                let core = &e.cores[0];
+                let slots = (0..64).filter(|&w| core.warps[w].is_some());
+                let want = slots.fold(0u64, |m, w| m | 1 << w);
+                assert_eq!(core.occupied, want, "{system} at {}", e.now);
+            }
+        }
     }
 }

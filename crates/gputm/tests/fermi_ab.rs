@@ -14,6 +14,11 @@
 //! outside the fingerprint: the contract is that *pre-existing*
 //! observables never move.
 //!
+//! A second table pins [`GpuConfig::volta_80core`] the same way, captured
+//! before the engine tracked occupied warp slots in masks; no other
+//! golden covers the preset. Its fast-scale grids do not fill a 64-slot
+//! core, so `partial_warp.rs` covers that edge.
+//!
 //! To regenerate after an intentional model change (requires a ROADMAP
 //! decision, not a casual rerun):
 //!
@@ -102,13 +107,12 @@ fn fingerprint(m: &Metrics, trace: &str) -> String {
     )
 }
 
-fn run_cell(b: Benchmark, system: TmSystem) -> String {
-    let cfg = GpuConfig::fermi_15core();
+fn run_cell(cfg: &GpuConfig, b: Benchmark, system: TmSystem) -> String {
     let w = b.build(Scale::Fast);
     let rec = Recorder::recording(1 << 16);
-    let mut e = Engine::new(w.as_ref(), system, &cfg).expect("engine builds");
+    let mut e = Engine::new(w.as_ref(), system, cfg).expect("engine builds");
     e.attach_recorder(rec.clone());
-    let m = e.run().expect("fermi cell completes");
+    let m = e.run().expect("cell completes");
     let trace = rec
         .bus()
         .expect("recording recorder has a bus")
@@ -117,18 +121,24 @@ fn run_cell(b: Benchmark, system: TmSystem) -> String {
     fingerprint(&m, &trace)
 }
 
-#[test]
-fn fermi_15core_is_bit_identical_to_the_pretier_tree() {
+/// Runs every cell on `cfg` and compares it with `golden`, or prints the
+/// table rows instead when `FERMI_AB_PRINT` is set.
+fn check_golden(
+    what: &str,
+    cfg: &GpuConfig,
+    cells: &[(Benchmark, TmSystem)],
+    golden: &[(&str, &str)],
+) {
     let print = std::env::var("FERMI_AB_PRINT").is_ok();
     let mut failures = Vec::new();
-    for (b, system) in cells() {
+    for &(b, system) in cells {
         let label = format!("{}/{}", b.name(), system.label());
-        let actual = run_cell(b, system);
+        let actual = run_cell(cfg, b, system);
         if print {
             println!("    (\"{label}\", \"{actual}\"),");
             continue;
         }
-        match GOLDEN.iter().find(|(l, _)| *l == label) {
+        match golden.iter().find(|(l, _)| *l == label) {
             Some((_, want)) if *want == actual => {}
             Some((_, want)) => {
                 failures.push(format!("{label}:\n  pinned  {want}\n  actual  {actual}"))
@@ -138,7 +148,35 @@ fn fermi_15core_is_bit_identical_to_the_pretier_tree() {
     }
     assert!(
         failures.is_empty(),
-        "fermi_15core drifted from the pre-tier tree:\n{}",
+        "{what} drifted from its pinned fingerprints:\n{}",
         failures.join("\n")
+    );
+}
+
+#[test]
+fn fermi_15core_is_bit_identical_to_the_pretier_tree() {
+    check_golden("fermi_15core", &GpuConfig::fermi_15core(), &cells(), GOLDEN);
+}
+
+/// Volta cells: the contended HT-H and ATM under the two systems the
+/// `volta-hbm` benchmark compares.
+const VOLTA_GOLDEN: &[(&str, &str)] = &[
+    ("HT-H/GETM", "cyc=7181 cmt=7680 abt=21802 sil=0 txe=1154396 txw=177907 xbar=3102000 meta=3ffd498bb6d578e7 stallocc=169 stallq=3003 abtl=909 abts=26158 abta=11482 abtiw=189 abtv=0 l1=0000000000000000 llc=3fe8bee74051ef00 atom=0 cas=0 roll=0 rt=4066c22b7a774250 rounds=4021dbbbbbbbbbbc vu=403807ce57943b35 data=403e5c2752da6d82 deg=false trace=02de21bbbc3e06d5"),
+    ("HT-H/WarpTM", "cyc=5467 cmt=7680 abt=12910 sil=0 txe=891647 txw=79078 xbar=2032176 meta=ffffffffffffffff stallocc=0 stallq=0 abtl=0 abts=0 abta=0 abtiw=148 abtv=12762 l1=0000000000000000 llc=3fea838e7ba30409 atom=0 cas=0 roll=0 rt=407266a32718f8a9 rounds=4016155555555555 vu=0000000000000000 data=0000000000000000 deg=false trace=37a570ad06ec03e8"),
+    ("ATM/GETM", "cyc=22974 cmt=15360 abt=67036 sil=0 txe=4308307 txw=442508 xbar=11304624 meta=40088908753a7ac2 stallocc=32 stallq=805 abtl=996 abts=109001 abta=87702 abtiw=49 abtv=0 l1=0000000000000000 llc=3feb866c16de3124 atom=0 cas=0 roll=0 rt=40654aeae907a43e rounds=40242dddddddddde vu=40230bc3af788bff data=40501a788a66d22d deg=false trace=dadd1cfd06b0c59f"),
+    ("ATM/WarpTM", "cyc=9681 cmt=15360 abt=1588 sil=0 txe=1836034 txw=13751 xbar=2491176 meta=ffffffffffffffff stallocc=0 stallq=0 abtl=0 abts=0 abta=0 abtiw=12 abtv=1576 l1=0000000000000000 llc=3fe30808377a7925 atom=0 cas=0 roll=0 rt=40779cbf68af8bdb rounds=4001666666666666 vu=0000000000000000 data=0000000000000000 deg=false trace=1e8db499e8aa9887"),
+];
+
+#[test]
+fn volta_80core_is_bit_identical_to_its_pinned_fingerprints() {
+    let cells: Vec<_> = [Benchmark::HtH, Benchmark::Atm]
+        .into_iter()
+        .flat_map(|b| [(b, TmSystem::Getm), (b, TmSystem::WarpTmLL)])
+        .collect();
+    check_golden(
+        "volta_80core",
+        &GpuConfig::volta_80core(),
+        &cells,
+        VOLTA_GOLDEN,
     );
 }
