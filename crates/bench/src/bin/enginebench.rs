@@ -1,8 +1,12 @@
 //! Wall-clock gate for the engine hot loop.
 //!
-//! Each row runs a workload once with the engine walking every cycle and
-//! once with idle skip-ahead, asserts the metrics are identical, and
-//! reports the skip path's speedup.
+//! Each row runs a workload with the engine walking every cycle and with
+//! idle skip-ahead, interleaved in one process — walk, skip, walk, skip
+//! and so on for [`PAIRS`] pairs — asserts every pair's metrics are
+//! identical, and reports the skip path's speedup as the median of the
+//! per-pair walk/skip ratios. Pairing the two paths back to back means a
+//! slow spell on a shared host slows both halves of a pair, and the
+//! median drops the pairs it hit unevenly.
 //!
 //! The committed baseline (`crates/bench/BENCH_engine.json`) stores the
 //! speedups this machine class is expected to reach. Rows gate on
@@ -28,20 +32,21 @@ use std::time::Instant;
 use workloads::suite::{Benchmark, Scale};
 use workloads::Workload;
 
-/// Best-of-N wall-clock for one engine setup, plus the metrics it
-/// produced.
-fn time_path(w: &dyn Workload, cfg: &GpuConfig, idle_skip: bool, reps: u32) -> (Metrics, f64) {
-    let mut best = f64::INFINITY;
-    let mut metrics = None;
-    for _ in 0..reps {
-        let mut e = Engine::new(w, TmSystem::Getm, cfg).expect("engine builds");
-        e.set_idle_skip(idle_skip);
-        let t0 = Instant::now();
-        let m = e.run().expect("run completes");
-        best = best.min(t0.elapsed().as_secs_f64() * 1e3);
-        metrics = Some(m);
-    }
-    (metrics.expect("at least one rep"), best)
+/// Walk/skip pairs per row. Odd, so the median is one pair's ratio.
+const PAIRS: usize = 11;
+
+/// One run's wall-clock in ms, plus the metrics it produced.
+fn time_run(w: &dyn Workload, cfg: &GpuConfig, idle_skip: bool) -> (Metrics, f64) {
+    let mut e = Engine::new(w, TmSystem::Getm, cfg).expect("engine builds");
+    e.set_idle_skip(idle_skip);
+    let t0 = Instant::now();
+    let m = e.run().expect("run completes");
+    (m, t0.elapsed().as_secs_f64() * 1e3)
+}
+
+fn median(mut xs: Vec<f64>) -> f64 {
+    xs.sort_by(f64::total_cmp);
+    xs[xs.len() / 2]
 }
 
 struct Row {
@@ -51,18 +56,26 @@ struct Row {
     speedup: f64,
 }
 
+/// Times [`PAIRS`] walk/skip pairs of `w`; the row holds the median walk
+/// and skip times and the median of the pairs' ratios.
 fn measure(name: &'static str, w: &dyn Workload, cfg: &GpuConfig) -> Row {
-    let (m_walk, walk_ms) = time_path(w, cfg, false, 3);
-    let (m_skip, skip_ms) = time_path(w, cfg, true, 3);
-    assert_eq!(
-        m_walk, m_skip,
-        "{name}: loop paths disagree on metrics — refusing to benchmark a broken engine"
-    );
+    let (mut walk, mut skip, mut ratio) = (Vec::new(), Vec::new(), Vec::new());
+    for _ in 0..PAIRS {
+        let (m_walk, walk_ms) = time_run(w, cfg, false);
+        let (m_skip, skip_ms) = time_run(w, cfg, true);
+        assert_eq!(
+            m_walk, m_skip,
+            "{name}: loop paths disagree on metrics — refusing to benchmark a broken engine"
+        );
+        walk.push(walk_ms);
+        skip.push(skip_ms);
+        ratio.push(walk_ms / skip_ms);
+    }
     Row {
         name,
-        walk_ms,
-        skip_ms,
-        speedup: walk_ms / skip_ms,
+        walk_ms: median(walk),
+        skip_ms: median(skip),
+        speedup: median(ratio),
     }
 }
 
@@ -128,7 +141,9 @@ fn main() {
         rounds: 40,
         spin: 5000,
     };
-    let fz = workloads::fuzz::Fuzz::new(workloads::fuzz::FuzzShape::SingleCell, 32, 6, 7);
+    // 150 transactions a thread: over 100 ms a run on either path, so
+    // timer and scheduler jitter stay small against the ratio.
+    let fz = workloads::fuzz::Fuzz::new(workloads::fuzz::FuzzShape::SingleCell, 32, 150, 7);
     let rows = vec![
         measure("atm-contended", atm.as_ref(), &cfg),
         measure("fuzz-singlecell", &fz, &cfg),

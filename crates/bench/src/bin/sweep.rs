@@ -11,7 +11,7 @@
 //! sweeps the small test machine instead of the 15-core Fermi. All the
 //! shared flags apply — notably `--failures collect-all` to survive
 //! poisoned cells, `--cell-timeout S` to bound runaway ones, and
-//! `--resume` to continue a killed campaign from its journal (completed
+//! `--resume` to continue a killed sweep from its journal (completed
 //! cells are recalled from the result cache; the final stdout is
 //! byte-identical to an uninterrupted run's). Row format:
 //!
@@ -20,9 +20,7 @@
 //! ```
 //!
 //! Rows go to stdout in spec order; progress and failures go to stderr.
-//! Exit status is nonzero if any cell failed or was skipped. The same
-//! grid distributed across worker processes is the `campaign` binary —
-//! its stdout is byte-identical to this one's for the same grid.
+//! Exit status is nonzero if any cell failed or was skipped.
 
 use bench::cli::{exit_usage, USAGE};
 use bench::grid::{render_report, GridArgs, GRID_USAGE};
@@ -40,5 +38,5 @@ fn main() -> ExitCode {
         .unwrap_or_else(|e| exit_usage(&e, &usage));
 
     let report = run_sweep_report(&spec, &args.sweep_options());
-    render_report(&report, spec.len(), "sweep")
+    render_report(&report, spec.len())
 }

@@ -1,12 +1,10 @@
-//! Grid selection and report rendering shared by the `sweep` and
-//! `campaign` binaries.
+//! Grid selection and report rendering for the `sweep` binary.
 //!
-//! Both binaries accept the same grid vocabulary — positional benchmark
-//! names, `--system NAME` (repeatable), `--all-systems`, `--tiny` — and
-//! must print byte-identical stdout for the same grid: the distributed
-//! campaign's acceptance test is literally `diff` against a
-//! single-process sweep. Keeping selection and rendering in one place is
-//! what makes that equivalence structural instead of coincidental.
+//! The grid vocabulary — positional benchmark names, `--system NAME`
+//! (repeatable), `--all-systems`, `--tiny`, `--gpu` — turns into an
+//! [`ExperimentSpec`], and a finished [`SweepReport`] into one
+//! deterministic stdout row per completed cell, so a serial, a parallel
+//! and a resumed run of the same grid print byte-identical stdout.
 
 use gputm::config::{GpuConfig, TmSystem};
 use gputm::sweep::{ExperimentSpec, SweepReport};
@@ -76,9 +74,7 @@ impl GridArgs {
     }
 
     /// Builds the experiment grid these flags plus the shared CLI
-    /// arguments describe. Both `sweep` and `campaign` route through
-    /// here, so a coordinator and its workers (and the reference sweep a
-    /// chaos test diffs against) always agree on cell identity and order.
+    /// arguments describe.
     ///
     /// # Errors
     ///
@@ -124,11 +120,10 @@ fn parse_system(name: &str) -> Result<TmSystem, String> {
         })
 }
 
-/// Renders a sweep/campaign report: the deterministic stdout table (one
-/// row per completed cell, spec order), failure/skip lines on stderr,
-/// and the process exit code. `tag` prefixes the stderr lines (`sweep`
-/// or `campaign`) — stdout is identical either way.
-pub fn render_report(report: &SweepReport, total: usize, tag: &str) -> ExitCode {
+/// Renders a sweep report: the deterministic stdout table (one row per
+/// completed cell, spec order), failure/skip lines on stderr, and the
+/// process exit code.
+pub fn render_report(report: &SweepReport, total: usize) -> ExitCode {
     println!(
         "{:<18} {:>12} {:>9} {:>9} {:>9}",
         "cell", "cycles", "commits", "aborts", "degraded"
@@ -144,11 +139,11 @@ pub fn render_report(report: &SweepReport, total: usize, tag: &str) -> ExitCode 
         );
     }
     for f in &report.failures {
-        eprintln!("{tag}: FAILED {f}");
+        eprintln!("sweep: FAILED {f}");
     }
     if report.skipped > 0 {
         eprintln!(
-            "{tag}: {} cell(s) skipped after the first failure",
+            "sweep: {} cell(s) skipped after the first failure",
             report.skipped
         );
     }
@@ -156,7 +151,7 @@ pub fn render_report(report: &SweepReport, total: usize, tag: &str) -> ExitCode 
         ExitCode::SUCCESS
     } else {
         eprintln!(
-            "{tag}: {} of {} cell(s) did not complete",
+            "sweep: {} of {} cell(s) did not complete",
             report.failures.len() + report.skipped,
             total
         );
@@ -164,9 +159,9 @@ pub fn render_report(report: &SweepReport, total: usize, tag: &str) -> ExitCode 
     }
 }
 
-/// The grid-selection usage text shared by `sweep` and `campaign`.
+/// The `sweep` binary's grid-selection usage text.
 pub const GRID_USAGE: &str = "\
-grid selection (sweep and campaign):
+grid selection:
   [BENCH ...]        benchmark names (default: the whole suite)
   --system NAME      a TM system to run (repeatable; default: GETM)
   --all-systems      run every TM system

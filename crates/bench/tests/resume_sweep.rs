@@ -1,6 +1,6 @@
 //! Crash-safe resume, end to end: SIGKILL the `sweep` binary mid-campaign,
 //! rerun it with `--resume`, and require stdout byte-identical to an
-//! uninterrupted run's.
+//! uninterrupted serial run's — with one worker thread or several.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
@@ -8,12 +8,13 @@ use std::time::{Duration, Instant};
 
 const BENCHES: [&str; 3] = ["HT-H", "ATM", "CC"];
 
-fn sweep_cmd(cache: &Path, extra: &[&str]) -> Command {
+/// A `sweep` of [`BENCHES`] into `cache`, plus `args`.
+fn sweep_cmd(cache: &Path, args: &[&str]) -> Command {
     let mut c = Command::new(env!("CARGO_BIN_EXE_sweep"));
-    c.args(["--tiny", "--serial", "--quiet", "--cache-dir"])
+    c.args(["--tiny", "--quiet", "--cache-dir"])
         .arg(cache)
         .args(BENCHES)
-        .args(extra);
+        .args(args);
     c
 }
 
@@ -23,21 +24,47 @@ fn tmp_dir(tag: &str) -> PathBuf {
     dir
 }
 
-fn metrics_entries(dir: &Path) -> usize {
+/// How many files in `dir` have extension `ext`.
+fn entries(dir: &Path, ext: &str) -> usize {
     std::fs::read_dir(dir)
         .map(|rd| {
             rd.filter_map(Result::ok)
-                .filter(|e| e.path().extension().is_some_and(|x| x == "metrics"))
+                .filter(|e| e.path().extension().is_some_and(|x| x == ext))
                 .count()
         })
         .unwrap_or(0)
 }
 
-#[test]
-fn killed_sweep_resumes_byte_identically() {
-    // Reference: the uninterrupted campaign in its own cache directory.
-    let ref_dir = tmp_dir("ref");
-    let reference = sweep_cmd(&ref_dir, &[]).output().expect("run sweep");
+/// Spawns `cmd` and SIGKILLs it as soon as the first cell lands in
+/// `cache`. Returns whether the kill ended it; a sweep that finished (or
+/// wedged past the deadline) first is still valid for the callers.
+fn kill_after_first_cell(mut cmd: Command, cache: &Path) -> bool {
+    let mut child = cmd
+        .stdout(Stdio::null())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawn sweep");
+    let deadline = Instant::now() + Duration::from_secs(300);
+    while entries(cache, "metrics") < 1
+        && child.try_wait().expect("try_wait").is_none()
+        && Instant::now() <= deadline
+    {
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    child.kill().ok();
+    !child.wait().expect("wait").success()
+}
+
+/// Kills a sweep run on `workers` once its first cell is on disk,
+/// resumes it on the same workers, and requires the resumed stdout to be
+/// byte-identical to an uninterrupted serial run's.
+fn killed_sweep_resumes_to_the_serial_bytes(tag: &str, workers: &[&str]) {
+    // Reference: the uninterrupted serial campaign in its own cache
+    // directory.
+    let ref_dir = tmp_dir(&format!("{tag}-ref"));
+    let reference = sweep_cmd(&ref_dir, &["--serial"])
+        .output()
+        .expect("run sweep");
     assert!(
         reference.status.success(),
         "reference sweep failed: {}",
@@ -46,42 +73,22 @@ fn killed_sweep_resumes_byte_identically() {
 
     // Victim: same campaign, fresh directory, SIGKILLed as soon as the
     // first cell lands on disk (mid-campaign by construction: three
-    // serial cells, one completed).
-    let crash_dir = tmp_dir("crash");
-    let mut child = sweep_cmd(&crash_dir, &[])
-        .stdout(Stdio::null())
-        .stderr(Stdio::null())
-        .spawn()
-        .expect("spawn sweep");
-    let deadline = Instant::now() + Duration::from_secs(300);
-    loop {
-        if metrics_entries(&crash_dir) >= 1 {
-            break;
-        }
-        if child.try_wait().expect("try_wait").is_some() || Instant::now() > deadline {
-            break; // finished (or wedged) before we could kill: still valid below
-        }
-        std::thread::sleep(Duration::from_millis(20));
-    }
-    child.kill().ok();
-    let killed = !child.wait().expect("wait").success();
-    if killed {
+    // cells, one completed, any other still running).
+    let crash_dir = tmp_dir(&format!("{tag}-crash"));
+    if kill_after_first_cell(sweep_cmd(&crash_dir, workers), &crash_dir) {
         // The kill left an unfinished campaign: its journal must survive
         // with fewer cells than the sweep has.
-        let journals = std::fs::read_dir(&crash_dir)
-            .map(|rd| {
-                rd.filter_map(Result::ok)
-                    .filter(|e| e.path().extension().is_some_and(|x| x == "journal"))
-                    .count()
-            })
-            .unwrap_or(0);
-        assert_eq!(journals, 1, "a killed campaign must leave its journal");
-        assert!(metrics_entries(&crash_dir) < BENCHES.len());
+        assert_eq!(
+            entries(&crash_dir, "journal"),
+            1,
+            "a killed campaign must leave its journal"
+        );
+        assert!(entries(&crash_dir, "metrics") < BENCHES.len());
     }
 
     // Resume: recomputes only what the kill destroyed; stdout must be
     // byte-identical to the uninterrupted reference.
-    let resumed = sweep_cmd(&crash_dir, &["--resume"])
+    let resumed = sweep_cmd(&crash_dir, &[workers, &["--resume"]].concat())
         .output()
         .expect("resume sweep");
     assert!(
@@ -95,17 +102,26 @@ fn killed_sweep_resumes_byte_identically() {
         "resumed campaign must reproduce the uninterrupted output exactly"
     );
     // The completed campaign cleans up after itself.
-    let journals = std::fs::read_dir(&crash_dir)
-        .map(|rd| {
-            rd.filter_map(Result::ok)
-                .filter(|e| e.path().extension().is_some_and(|x| x == "journal"))
-                .count()
-        })
-        .unwrap_or(0);
-    assert_eq!(journals, 0, "a completed campaign must remove its journal");
+    assert_eq!(
+        entries(&crash_dir, "journal"),
+        0,
+        "a completed campaign must remove its journal"
+    );
 
     std::fs::remove_dir_all(&ref_dir).ok();
     std::fs::remove_dir_all(&crash_dir).ok();
+}
+
+#[test]
+fn killed_sweep_resumes_byte_identically() {
+    killed_sweep_resumes_to_the_serial_bytes("serial", &["--serial"]);
+}
+
+/// Two worker threads: the kill lands with the other worker mid-cell,
+/// and the `--jobs 2 --resume` rerun still prints the serial bytes.
+#[test]
+fn killed_parallel_sweep_resumes_to_the_serial_bytes() {
+    killed_sweep_resumes_to_the_serial_bytes("jobs2", &["--jobs", "2"]);
 }
 
 /// The `ev` field of a telemetry JSONL line.
@@ -134,24 +150,14 @@ fn killed_campaign_telemetry_resumes_coherently() {
     let crash_tel = crash_dir.join("crash.telemetry.jsonl");
     let resume_tel = crash_dir.join("resume.telemetry.jsonl");
 
-    let mut child = sweep_cmd(&crash_dir, &["--telemetry", crash_tel.to_str().unwrap()])
-        .stdout(Stdio::null())
-        .stderr(Stdio::null())
-        .spawn()
-        .expect("spawn sweep");
-    let deadline = Instant::now() + Duration::from_secs(300);
-    loop {
-        if metrics_entries(&crash_dir) >= 1 {
-            break;
-        }
-        if child.try_wait().expect("try_wait").is_some() || Instant::now() > deadline {
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(20));
-    }
-    child.kill().ok();
-    let killed = !child.wait().expect("wait").success();
-    let recalled = metrics_entries(&crash_dir);
+    let killed = kill_after_first_cell(
+        sweep_cmd(
+            &crash_dir,
+            &["--serial", "--telemetry", crash_tel.to_str().unwrap()],
+        ),
+        &crash_dir,
+    );
+    let recalled = entries(&crash_dir, "metrics");
 
     // The JSONL sink flushes per event, so the kill can tear at most the
     // final line: every line before it must be a complete JSON object.
@@ -168,7 +174,12 @@ fn killed_campaign_telemetry_resumes_coherently() {
     // Resume with a fresh telemetry stream.
     let resumed = sweep_cmd(
         &crash_dir,
-        &["--resume", "--telemetry", resume_tel.to_str().unwrap()],
+        &[
+            "--serial",
+            "--resume",
+            "--telemetry",
+            resume_tel.to_str().unwrap(),
+        ],
     )
     .output()
     .expect("resume sweep");

@@ -37,7 +37,7 @@ use gpu_mem::{
     Addr, BankedMem, Crossbar, Delivery, DramChannel, Geometry, Granule, LineAddr, MemImage,
     SetAssocCache,
 };
-use gpu_simt::stack::{full_mask, lanes_of, LaneMask};
+use gpu_simt::stack::{lanes_of, LaneMask};
 use gpu_simt::{Backoff, GtoScheduler, LaneList, Op, ThreadStatus, Warp};
 use sim_core::history::HistoryRecorder;
 use sim_core::trace::{Recorder, SimEvent, Stamp, WatchdogStage};
@@ -662,11 +662,6 @@ impl Engine {
                     None => {}
                 }
             }
-            if !core.pending_warps.is_empty() && core.occupied != full_mask(core.warps.len() as u32)
-            {
-                // A queued warp could be placed into the free slot.
-                return false;
-            }
         }
         if let Some(arrive) = self.up.next_arrival() {
             target = target.min(arrive.raw());
@@ -1208,12 +1203,13 @@ fn make_slot(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gpu_simt::stack::full_mask;
     use workloads::suite::{Benchmark, Scale};
 
     /// `try_idle_skip` refuses to move the clock when the flag is off, and
     /// refuses on a freshly built engine even when it is on: at cycle zero
-    /// every warp is awake with work ready (or queued behind a free slot),
-    /// so there is no idle span to jump.
+    /// every warp is awake with work ready, so there is no idle span to
+    /// jump.
     #[test]
     fn idle_skip_bails_when_disabled_or_work_is_ready() {
         let cfg = GpuConfig::tiny_test();
@@ -1232,7 +1228,8 @@ mod tests {
 
     /// Steps a full 64-slot core one cycle at a time and checks, after
     /// every cycle, that its `occupied` mask has exactly the bits of its
-    /// occupied slots. The run goes through every phase of a slot's life:
+    /// occupied slots and that no core holds queued warps beside a free
+    /// slot. The run goes through every phase of a slot's life:
     /// all 64 slots full with 36 warps queued, refills from the queue as
     /// warps retire, and then slots emptying until the core drains.
     #[test]
@@ -1253,6 +1250,17 @@ mod tests {
                 let slots = (0..64).filter(|&w| core.warps[w].is_some());
                 let want = slots.fold(0u64, |m, w| m | 1 << w);
                 assert_eq!(core.occupied, want, "{system} at {}", e.now);
+                // A slot empties only once its core's queue is empty, and
+                // nothing refills the queue: idle skip need not check for
+                // a queued warp waiting on a free slot.
+                for core in &e.cores {
+                    let full = full_mask(core.warps.len() as u32);
+                    assert!(
+                        core.pending_warps.is_empty() || core.occupied == full,
+                        "{system} at {}: queued warps beside a free slot",
+                        e.now
+                    );
+                }
             }
         }
     }

@@ -38,10 +38,8 @@
 //!   [`runner::RunOptions`] execution API (tracing, verification,
 //!   cancellation) with invariant checking.
 //! * [`verify`] — the serializability/opacity oracle behind verified runs.
-//! * [`sweep`] — parallel grid execution with deterministic result caching.
-//! * [`campaign`] — distributed sweeps (Unix only): a coordinator process
-//!   leasing cells to disposable worker processes over a local socket,
-//!   with heartbeat/deadline failure detection and crash-resumable state.
+//! * [`sweep`] — parallel grid execution with deterministic result caching,
+//!   fault isolation, and a journal that makes a killed sweep resumable.
 //! * [`telemetry`] — the host-level campaign event stream (JSONL, live
 //!   dashboard, Prometheus snapshot) emitted by the sweep executor.
 //! * [`silicon`] — the analytical SRAM area/power model behind Table V.
@@ -50,8 +48,6 @@
 #![forbid(unsafe_code)]
 
 pub mod backend;
-#[cfg(unix)]
-pub mod campaign;
 pub mod config;
 pub mod engine;
 pub mod exec;

@@ -136,16 +136,16 @@ fn intern_category(name: &str) -> &'static str {
     }
 }
 
-/// Escapes free text for a line-framed format (a cache entry's `check`
-/// line, a campaign protocol message's trailing field): backslashes and
-/// newlines only — the two characters that could break framing.
-pub(crate) fn escape(s: &str) -> String {
+/// Escapes free text for a cache entry's line-framed `check` line:
+/// backslashes and newlines only — the two characters that could break
+/// framing.
+fn escape(s: &str) -> String {
     s.replace('\\', "\\\\").replace('\n', "\\n")
 }
 
 /// Inverse of [`escape`]. A backslash [`escape`] could not have written
 /// (before anything but `n` or `\`, or at the end) is kept as is.
-pub(crate) fn unescape(s: &str) -> String {
+fn unescape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     let mut chars = s.chars();
     while let Some(c) = chars.next() {

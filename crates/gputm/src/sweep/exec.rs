@@ -8,10 +8,10 @@
 //! order no matter which worker finished first, and a cell's events reach
 //! the telemetry sinks in the order the worker produced them.
 //!
-//! [`run_cell`] is the one place a cell is attempted and retried, here
-//! and in a campaign worker. Each attempt runs inside `catch_unwind` with
-//! an optional wall-clock watchdog thread holding a [`CancelToken`]: a
-//! panicking or runaway cell is contained to its slot and reported as a
+//! [`run_cell`] is the one place a cell is attempted and retried. Each
+//! attempt runs inside `catch_unwind` with an optional wall-clock
+//! watchdog thread holding a [`CancelToken`]: a panicking or runaway
+//! cell is contained to its slot and reported as a
 //! [`CellFailure`], per the sweep's [`FailurePolicy`]. The ledger
 //! journals completed cells next to the result cache so a killed sweep
 //! resumes.
@@ -71,9 +71,8 @@ pub(super) fn run_report(cells: &[CellSpec], opts: &SweepOptions) -> SweepReport
             let (pending, next, stop) = (&pending, &next, &stop);
             scope.spawn(move || {
                 while let Some(&idx) = pending.get(next.fetch_add(1, Ordering::Relaxed)) {
-                    let revoked = opts.cancel.as_ref().is_some_and(CancelToken::is_cancelled);
-                    if stop.load(Ordering::Relaxed) || revoked {
-                        break; // fail-fast or external cancel: leave the rest unclaimed
+                    if stop.load(Ordering::Relaxed) {
+                        break; // fail-fast: leave the rest unclaimed
                     }
                     // Notes only feed telemetry: with it off they are not sent.
                     let note = |n| {
@@ -112,12 +111,10 @@ enum Report {
 }
 
 /// Runs one cell to a verdict: cache, then up to the policy's attempt
-/// count of fault-isolated executions, stopping early once
-/// [`SweepOptions::cancel`] is raised. Each attempt's start and retry go
+/// count of fault-isolated executions. Each attempt's start and retry go
 /// to `note`; a cache hit makes no attempt and sends none. The failure is
-/// boxed to keep the happy path's return slot small. (Also the
-/// distributed campaign worker's per-cell engine.)
-pub(crate) fn run_cell(
+/// boxed to keep the happy path's return slot small.
+fn run_cell(
     cell: &CellSpec,
     opts: &SweepOptions,
     mut note: impl FnMut(Note),
@@ -158,8 +155,7 @@ pub(crate) fn run_cell(
                 });
             }
             Err(kind) => {
-                let revoked = opts.cancel.as_ref().is_some_and(CancelToken::is_cancelled);
-                if attempt >= budget || revoked {
+                if attempt >= budget {
                     break kind;
                 }
                 note(Note::Retried {
@@ -185,52 +181,24 @@ fn retry_backoff(attempt: u32) -> Duration {
 
 /// One fault-isolated execution: `catch_unwind` around the run, with a
 /// detached wall-clock watchdog cancelling the engine's [`CancelToken`]
-/// when a per-cell timeout is configured.
-///
-/// The engine polls a single token, raised by either the timeout monitor
-/// or the sweep's external [`SweepOptions::cancel`] — the monitor records
-/// that *it* fired, so a timeout and an external revoke produce distinct
-/// [`FailureKind`]s ([`FailureKind::TimedOut`] vs
-/// [`FailureKind::Sim`]/`Interrupted`).
+/// when a per-cell timeout is configured. The monitor records that it
+/// fired, so only its cancellation becomes [`FailureKind::TimedOut`].
 fn run_attempt(cell: &CellSpec, opts: &SweepOptions) -> Result<Metrics, FailureKind> {
-    // The engine polls a single token. With no timeout it is the external
-    // token itself (a revoke reaches the engine with zero relay latency);
-    // with a timeout armed it is a private inner token, and the monitor
-    // thread raises it for *either* source — never the reverse: a cell
-    // timeout must not cancel the caller's shared sweep/lease token.
-    let token = match (&opts.cancel, opts.cell_timeout) {
-        (None, None) => None,
-        (Some(external), None) => Some(external.clone()),
-        (_, Some(_)) => Some(CancelToken::new()),
-    };
+    let token = opts.cell_timeout.map(|_| CancelToken::new());
     let monitor_fired = Arc::new(AtomicBool::new(false));
     let armed = opts.cell_timeout.map(|limit| {
         let inner = token.clone().expect("timeout always arms a token");
-        let external = opts.cancel.clone();
         let fired = monitor_fired.clone();
         let (disarm, expiry) = mpsc::channel::<()>();
-        let deadline = Instant::now() + limit;
-        let monitor = std::thread::spawn(move || loop {
-            // A disarm message (or a dropped sender) ends the wait; a true
-            // timeout records that it fired before raising the token, so
-            // the caller can tell a timeout from an external revoke.
-            if external.as_ref().is_some_and(CancelToken::is_cancelled) {
-                inner.cancel();
-                return;
-            }
-            let left = deadline.saturating_duration_since(Instant::now());
-            if left.is_zero() {
+        let monitor = std::thread::spawn(move || {
+            // A disarm message (or a dropped sender) ends the wait: the
+            // attempt finished on its own.
+            if expiry.recv_timeout(limit) == Err(mpsc::RecvTimeoutError::Timeout) {
                 fired.store(true, Ordering::SeqCst);
                 inner.cancel();
-                return;
-            }
-            // Wake at least every 10ms to relay an external revoke.
-            let wait = left.min(Duration::from_millis(10));
-            if expiry.recv_timeout(wait) != Err(mpsc::RecvTimeoutError::Timeout) {
-                return; // disarmed: the attempt finished on its own
             }
         });
-        (disarm, monitor, limit)
+        (disarm, monitor)
     });
     let run = RunOptions {
         cancel: token,
@@ -240,7 +208,7 @@ fn run_attempt(cell: &CellSpec, opts: &SweepOptions) -> Result<Metrics, FailureK
         Some(r) => (r.0)(cell, &run),
         None => cell.run_with(&run),
     }));
-    if let Some((disarm, monitor, _)) = armed {
+    if let Some((disarm, monitor)) = armed {
         drop(disarm);
         monitor.join().ok();
     }

@@ -1,25 +1,21 @@
-//! The sweep ledger: result bookkeeping shared by both sweep front ends.
+//! The sweep ledger: the executor's result bookkeeping.
 //!
-//! A grid runs either on the in-process executor ([`super::exec`]) or on
-//! the distributed campaign coordinator (`crate::campaign`). Both hand out
-//! unfinished cells in spec order, over different transports — threads
-//! on a channel versus leases on a socket — and keep identical books; the
-//! ledger is the one copy of them: per-cell slots in spec order, the
-//! fsynced [`SweepJournal`] (including recalling a resumed campaign's
-//! journaled cells from the cache before any work is handed out), the
-//! campaign's start, queue, terminal, throughput and finish telemetry,
-//! the per-cell progress line, and the final [`SweepReport`].
+//! The executor ([`super::exec`]) hands out unfinished cells in spec
+//! order to worker threads and keeps its books here: per-cell slots in
+//! spec order, the fsynced [`SweepJournal`] (including recalling a
+//! resumed campaign's journaled cells from the cache before any work is
+//! handed out), the campaign's start, queue, terminal, throughput and
+//! finish telemetry, the per-cell progress line, and the final
+//! [`SweepReport`].
 //!
 //! The ledger is also the campaign's only telemetry writer. A cell's
-//! attempts run wherever it is scheduled, so each attempt's start and
-//! retry reach the ledger as a [`Note`] through [`Ledger::note`] — over
-//! the executor's result channel, or as a campaign worker's `start` and
-//! `retry` lines — on the same path, and so in the same order, as the
-//! cell's terminal result.
+//! attempts run on a worker thread, so each attempt's start and retry
+//! reach the ledger as a [`Note`] through [`Ledger::note`] over the
+//! executor's result channel — the same path, and so the same order, as
+//! the cell's terminal result.
 //!
 //! Every cell reaches the ledger through [`Ledger::record`] at most once,
-//! which is what makes "exactly one terminal event per cell" hold no
-//! matter how often a front end reassigned the cell.
+//! which is what makes "exactly one terminal event per cell" hold.
 
 use super::journal::{sweep_digest, SweepJournal};
 use super::{CellFailure, CellSpec, SweepOptions, SweepOutcome, SweepReport};
@@ -31,7 +27,7 @@ pub(crate) type CellResult = Result<SweepOutcome, CellFailure>;
 
 /// One attempt-level event of a cell, sent by the code that attempts it
 /// ([`super::exec::run_cell`]) to the ledger through its caller.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug)]
 pub(crate) enum Note {
     /// Attempt `attempt` (1-based) is starting.
     Started { attempt: u32 },
@@ -128,11 +124,6 @@ impl<'a> Ledger<'a> {
     /// Whether cell `idx` has its terminal result.
     pub(crate) fn is_filled(&self, idx: usize) -> bool {
         self.slots[idx].is_some()
-    }
-
-    /// Whether every cell has its terminal result.
-    pub(crate) fn all_filled(&self) -> bool {
-        self.slots.iter().all(Option::is_some)
     }
 
     /// Emits cell `idx`'s attempt-level event: `CellStarted` or
@@ -352,7 +343,7 @@ mod tests {
         );
         ledger.record(0, Ok(outcome(0, false, false)));
         ledger.record(2, Ok(outcome(2, true, false)));
-        assert!(ledger.is_filled(2) && !ledger.is_filled(4) && !ledger.all_filled());
+        assert!(ledger.is_filled(2) && !ledger.is_filled(4));
         let journal = ledger.journal.as_ref().expect("cache attached").path();
         let lines = std::fs::read_to_string(journal).expect("journal on disk");
         let report = ledger.into_report();

@@ -1,20 +1,20 @@
-//! Pid-stamped lock files: cross-process ownership of campaign state.
+//! Pid-stamped lock files: cross-process ownership of a sweep's journal.
 //!
 //! The result cache needs no lock — entries are content-addressed and
 //! written atomically (temp file + rename), so two writers of the same
 //! digest produce identical bytes and the last rename wins. The journal
-//! is different: it is an append-only *per-campaign* file, and two
+//! is different: it is an append-only *per-sweep* file, and two `sweep`
 //! processes appending to it would interleave their progress records and
-//! corrupt both campaigns' crash accounting. [`LockFile`] closes that
+//! corrupt both runs' crash accounting. [`LockFile`] closes that
 //! hole: whoever holds `sweep-<digest>.journal.lock` owns the journal.
 //!
 //! Ownership is advisory and crash-tolerant. The lock file is created
 //! with `O_EXCL` and stamped with the owner's pid; a contender that finds
 //! an existing lock checks whether that pid is still alive (via `/proc`)
-//! and takes over a dead owner's lock — a SIGKILLed campaign must not
+//! and takes over a dead owner's lock — a SIGKILLed sweep must not
 //! wedge its digest forever. A *live* owner makes acquisition fail with
 //! [`std::io::ErrorKind::WouldBlock`], which callers treat as
-//! "someone else is running this campaign": logged, not fatal — the
+//! "someone else is running this sweep": logged, not fatal — the
 //! contender simply runs without a journal (losing only crash resume).
 
 use std::io::Write;

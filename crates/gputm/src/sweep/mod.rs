@@ -21,7 +21,7 @@
 //! Sweeps are also fault-isolated: the executor contains a
 //! panicking, livelocking, or runaway cell as a structured
 //! [`CellFailure`] (per the configured [`FailurePolicy`] and optional
-//! per-cell wall-clock timeout) instead of killing the campaign, and a
+//! per-cell wall-clock timeout) instead of killing the sweep, and a
 //! [`SweepJournal`] written next to the cache makes a killed sweep
 //! resumable ([`SweepOptions::resume`]) with bit-identical results.
 //!
@@ -49,7 +49,6 @@ pub(crate) mod ledger;
 mod lock;
 mod spec;
 
-pub(crate) use cache::{escape, unescape};
 pub use cache::{parse_metrics, serialize_metrics, ResultCache};
 pub use journal::{sweep_digest, SweepJournal};
 pub use lock::LockFile;
@@ -57,7 +56,7 @@ pub use spec::{CellSpec, ExperimentSpec, GridBuilder};
 
 use crate::metrics::Metrics;
 use crate::telemetry::Telemetry;
-use sim_core::{CancelToken, SimError};
+use sim_core::SimError;
 use std::time::Duration;
 
 /// What the executor does with cells that fail (simulation error, panic,
@@ -111,31 +110,16 @@ pub enum FailureKind {
         /// Simulated cycle at which the engine observed the cancellation.
         cycle: u64,
     },
-    /// A distributed campaign failure observed across the wire: either a
-    /// worker-reported cell failure (the original taxonomy tag and
-    /// rendered error survive the hop) or a coordinator-detected worker
-    /// loss (`kind` = `worker`: process exit, missed heartbeats, or an
-    /// expired lease deadline, past the reassignment cap).
-    Remote {
-        /// The taxonomy tag: `sim`, `panic`, `timeout`, or `worker`.
-        kind: &'static str,
-        /// The rendered error.
-        detail: String,
-    },
 }
 
 impl FailureKind {
-    /// Every taxonomy tag [`FailureKind::tag`] can return.
-    pub(crate) const TAGS: [&'static str; 4] = ["sim", "panic", "timeout", "worker"];
-
-    /// The failure's taxonomy tag, as carried by telemetry and the
-    /// campaign wire protocol: `sim`, `panic`, `timeout`, or `worker`.
+    /// The failure's taxonomy tag, as carried by telemetry: `sim`,
+    /// `panic`, or `timeout`.
     pub(crate) fn tag(&self) -> &'static str {
         match self {
             FailureKind::Sim(_) => "sim",
             FailureKind::Panic(_) => "panic",
             FailureKind::TimedOut { .. } => "timeout",
-            FailureKind::Remote { kind, .. } => kind,
         }
     }
 }
@@ -148,7 +132,6 @@ impl std::fmt::Display for FailureKind {
             FailureKind::TimedOut { limit, cycle } => {
                 write!(f, "timed out after {limit:?} (cancelled at cycle {cycle})")
             }
-            FailureKind::Remote { detail, .. } => write!(f, "{detail}"),
         }
     }
 }
@@ -214,7 +197,7 @@ pub struct SweepOptions {
     pub cell_timeout: Option<Duration>,
     /// Honor an existing sweep journal: report previously completed cells
     /// and recompute only the rest. Off, an existing journal for this
-    /// sweep is discarded and the campaign starts over (the result cache,
+    /// sweep is discarded and the sweep starts over (the result cache,
     /// if attached, still serves whatever it holds). Journaling itself is
     /// automatic whenever a cache is attached.
     pub resume: bool,
@@ -223,15 +206,6 @@ pub struct SweepOptions {
     /// Defaults to [`Telemetry::off`] — disabled emission is a branch on a
     /// `None`, inside the PR-2 <2% overhead guard.
     pub telemetry: Telemetry,
-    /// External sweep-wide cancellation. When raised, workers stop
-    /// claiming new cells and the cell currently in flight is interrupted
-    /// cooperatively (the engine polls the token); the interrupted cell
-    /// surfaces as [`FailureKind::Sim`] with
-    /// [`SimError::Interrupted`] — distinct from a per-cell
-    /// [`FailureKind::TimedOut`]. The distributed campaign worker threads
-    /// a lease-revocation token through here so a coordinator-issued
-    /// revoke stops a running cell promptly instead of orphaning it.
-    pub cancel: Option<CancelToken>,
     /// Test-only override of how a cell is executed (fault injection).
     pub(crate) runner: Option<exec::CellRunner>,
 }
@@ -292,14 +266,6 @@ impl SweepOptions {
         self
     }
 
-    /// Attaches an external sweep-wide cancellation token (see
-    /// [`SweepOptions::cancel`]).
-    #[must_use]
-    pub fn cancel(mut self, token: CancelToken) -> Self {
-        self.cancel = Some(token);
-        self
-    }
-
     /// The resolved worker count.
     pub(crate) fn resolved_threads(&self) -> usize {
         if self.threads > 0 {
@@ -329,7 +295,7 @@ pub struct SweepOutcome {
 /// [`FailurePolicy`], returning a [`SweepReport`] in spec order
 /// regardless of completion order: a panicking, livelocking, or
 /// timed-out cell becomes a structured [`CellFailure`] and the rest of
-/// the campaign survives.
+/// the sweep survives.
 ///
 /// Results are deterministic: a cell's metrics depend only on its spec
 /// (all engine randomness derives from `cfg.seed`), so serial and

@@ -2,9 +2,9 @@
 //! everything the sweep executor does above the simulated machine.
 //!
 //! PR 2 gave the *simulation* cycle-accurate observability; this module
-//! gives the *campaign* the same treatment. The sweep ledger
-//! (`crate::sweep::ledger`), the one writer for both the in-process
-//! executor and the distributed coordinator, narrates cell lifecycle — queued, started, finished, cache-hit, retried,
+//! gives the *campaign* (one sweep run) the same treatment. The sweep
+//! ledger (`crate::sweep::ledger`), the executor's one telemetry writer,
+//! narrates cell lifecycle — queued, started, finished, cache-hit, retried,
 //! failed, watchdog-degraded — plus periodic throughput/ETA samples as
 //! [`CampaignEvent`]s through a [`Telemetry`] handle, which follows the
 //! exact zero-cost discipline of [`sim_core::trace::Recorder`]: when no
@@ -106,16 +106,14 @@ pub enum CampaignEvent {
         /// Rendered failure of that attempt.
         error: String,
     },
-    /// A cell failed for good (terminal). `kind` is `sim`, `panic`,
-    /// `timeout`, or `worker` — the [`crate::sweep::FailureKind`]
-    /// taxonomy (`worker` is the distributed campaign's worker-loss
-    /// class: process exit, missed heartbeats, expired lease).
+    /// A cell failed for good (terminal). `kind` is `sim`, `panic`, or
+    /// `timeout` — the [`crate::sweep::FailureKind`] taxonomy.
     CellFailed {
         /// Spec-order index.
         idx: usize,
         /// Human-readable cell label.
         label: String,
-        /// Failure class: `sim`, `panic`, `timeout`, or `worker`.
+        /// Failure class: `sim`, `panic`, or `timeout`.
         kind: &'static str,
         /// Rendered final error.
         error: String,
