@@ -1,36 +1,41 @@
-//! The committed memory image: a page-granular flat store.
+//! The committed memory image: 64-bit words in 32 KiB pages.
 //!
 //! The simulator's architectural memory was originally a
-//! `HashMap<u64, u64>` keyed by word address — one hash and one heap node
-//! per touched word, on a path the engine hits several times per simulated
+//! `HashMap<u64, u64>` keyed by address — one hash and one heap node per
+//! touched word, on a path the engine hits several times per simulated
 //! cycle (load value capture, store application, validation re-reads).
-//! `MemImage` replaces it with 4096-word zero-filled pages behind a dense
-//! page directory, making the common read/write a shift, a bounds check,
-//! and an array index.
+//! `MemImage` replaces it with zero-filled pages of 4096 words.
+//!
+//! Every address is an 8-byte-aligned byte address, the same [`Addr`]
+//! value the rest of the simulator routes by: word `addr` is slot
+//! `(addr >> 3) % 4096` of page `addr >> 15`, so a page covers 32 KiB of
+//! address space with no dead slots. Alignment is the caller's contract
+//! (the engine rejects misaligned addresses before they reach the image),
+//! so [`MemImage::get`] and [`MemImage::set`] only `debug_assert!` it.
 //!
 //! Semantics match the map-with-default it replaces: every word reads as
 //! zero until written, and writing zero is indistinguishable from never
 //! having written (no occupancy tracking — the engine's
 //! `get(...).unwrap_or(0)` idiom never distinguished them either).
 //!
-//! Pages with small page numbers (word addresses below 2^28) live in a
-//! directly indexed directory that grows on demand; the rare workload that
-//! scatters addresses beyond that falls back to an ordered spill map, so a
-//! single huge address cannot balloon the directory. Iteration
-//! ([`MemImage::iter_nonzero`]) is in ascending address order — directory
-//! pages first, spill pages after, both sorted — so everything downstream
-//! (the verifier's divergence reports in particular) is deterministic by
-//! construction, never at the mercy of hash iteration order.
+//! All pages live in one ordered map, so iteration
+//! ([`MemImage::iter_nonzero`]) is in ascending address order and
+//! everything downstream (the verifier's divergence reports in particular)
+//! is deterministic by construction, never at the mercy of hash iteration
+//! order.
+//!
+//! [`Addr`]: crate::Addr
 
 use std::collections::BTreeMap;
 
-/// Words per page (4096 words = 32 KiB of simulated memory per page).
-const PAGE_SHIFT: u32 = 12;
-const PAGE_WORDS: usize = 1 << PAGE_SHIFT;
-const OFFSET_MASK: u64 = (PAGE_WORDS as u64) - 1;
-/// Page numbers below this live in the dense directory; the directory is
-/// grown lazily, so its worst case is `DIRECT_PAGES` pointers (512 KiB).
-const DIRECT_PAGES: u64 = 1 << 16;
+/// Bytes per word, as a shift: byte address `>> WORD_SHIFT` is the word
+/// index.
+const WORD_SHIFT: u32 = 3;
+/// Words per page, as a shift (4096 words = 32 KiB per page).
+const PAGE_WORD_SHIFT: u32 = 12;
+const PAGE_WORDS: usize = 1 << PAGE_WORD_SHIFT;
+/// Byte address `>> PAGE_SHIFT` is the page number.
+const PAGE_SHIFT: u32 = WORD_SHIFT + PAGE_WORD_SHIFT;
 
 type Page = Box<[u64; PAGE_WORDS]>;
 
@@ -43,13 +48,19 @@ fn blank_page() -> Page {
         .expect("length matches")
 }
 
-/// A page-granular flat image of simulated memory, keyed by word address.
+/// Splits 8-byte-aligned byte address `addr` into (page number, slot).
+#[inline]
+fn locate(addr: u64) -> (u64, usize) {
+    debug_assert!(addr.is_multiple_of(8), "misaligned word address {addr:#x}");
+    let slot = (addr >> WORD_SHIFT) as usize & (PAGE_WORDS - 1);
+    (addr >> PAGE_SHIFT, slot)
+}
+
+/// A page-granular image of simulated memory, keyed by 8-byte-aligned
+/// byte address.
 #[derive(Debug, Default, Clone)]
 pub struct MemImage {
-    /// Dense directory for page numbers below [`DIRECT_PAGES`].
-    direct: Vec<Option<Page>>,
-    /// Ordered spill store for far-flung page numbers.
-    spill: BTreeMap<u64, Page>,
+    pages: BTreeMap<u64, Page>,
 }
 
 impl MemImage {
@@ -58,7 +69,7 @@ impl MemImage {
         MemImage::default()
     }
 
-    /// An image pre-populated from `(word address, value)` pairs.
+    /// An image pre-populated from `(byte address, value)` pairs.
     pub fn from_pairs(pairs: impl IntoIterator<Item = (u64, u64)>) -> Self {
         let mut img = MemImage::new();
         for (a, v) in pairs {
@@ -67,54 +78,32 @@ impl MemImage {
         img
     }
 
-    /// The committed value of word `addr` (zero until written).
+    /// The committed value of the word at `addr` (zero until written).
     #[inline]
     pub fn get(&self, addr: u64) -> u64 {
-        let page = addr >> PAGE_SHIFT;
-        let off = (addr & OFFSET_MASK) as usize;
-        if page < DIRECT_PAGES {
-            match self.direct.get(page as usize) {
-                Some(Some(p)) => p[off],
-                _ => 0,
-            }
-        } else {
-            self.spill.get(&page).map_or(0, |p| p[off])
-        }
+        let (page, slot) = locate(addr);
+        self.pages.get(&page).map_or(0, |p| p[slot])
     }
 
-    /// Writes word `addr`.
+    /// Writes the word at `addr`.
     #[inline]
     pub fn set(&mut self, addr: u64, value: u64) {
-        let page = addr >> PAGE_SHIFT;
-        let off = (addr & OFFSET_MASK) as usize;
-        if page < DIRECT_PAGES {
-            let idx = page as usize;
-            if idx >= self.direct.len() {
-                self.direct.resize_with(idx + 1, || None);
-            }
-            self.direct[idx].get_or_insert_with(blank_page)[off] = value;
-        } else {
-            self.spill.entry(page).or_insert_with(blank_page)[off] = value;
-        }
+        let (page, slot) = locate(addr);
+        self.pages.entry(page).or_insert_with(blank_page)[slot] = value;
     }
 
-    /// Number of materialized pages (capacity gauge for tests and dumps).
+    /// Number of materialized 32 KiB pages (capacity gauge for tests and
+    /// dumps).
     pub fn page_count(&self) -> usize {
-        self.direct.iter().filter(|p| p.is_some()).count() + self.spill.len()
+        self.pages.len()
     }
 
-    /// Iterates `(word address, value)` over every nonzero word, in
+    /// Iterates `(byte address, value)` over every nonzero word, in
     /// ascending address order.
     pub fn iter_nonzero(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        let direct = self
-            .direct
-            .iter()
-            .enumerate()
-            .filter_map(|(n, p)| Some((n as u64, p.as_ref()?)));
-        let spill = self.spill.iter().map(|(&n, p)| (n, p));
-        direct.chain(spill).flat_map(|(n, p)| {
-            p.iter().enumerate().filter_map(move |(off, &v)| {
-                (v != 0).then_some(((n << PAGE_SHIFT) | off as u64, v))
+        self.pages.iter().flat_map(|(&n, p)| {
+            p.iter().enumerate().filter_map(move |(slot, &v)| {
+                (v != 0).then_some(((n << PAGE_SHIFT) | (slot as u64) << WORD_SHIFT, v))
             })
         })
     }
@@ -130,11 +119,14 @@ impl FromIterator<(u64, u64)> for MemImage {
 mod tests {
     use super::*;
 
+    /// Bytes per page.
+    const PAGE: u64 = 32 * 1024;
+
     #[test]
     fn unwritten_words_read_zero() {
         let img = MemImage::new();
         assert_eq!(img.get(0), 0);
-        assert_eq!(img.get(u64::MAX), 0);
+        assert_eq!(img.get(!7), 0); // the highest word
         assert_eq!(img.page_count(), 0);
     }
 
@@ -142,41 +134,70 @@ mod tests {
     fn writes_round_trip_within_and_across_pages() {
         let mut img = MemImage::new();
         img.set(0, 7);
-        img.set(4095, 8);
-        img.set(4096, 9); // next page
+        img.set(PAGE - 8, 8);
+        img.set(PAGE, 9); // next page
         assert_eq!(img.get(0), 7);
-        assert_eq!(img.get(4095), 8);
-        assert_eq!(img.get(4096), 9);
-        assert_eq!(img.get(1), 0);
+        assert_eq!(img.get(PAGE - 8), 8);
+        assert_eq!(img.get(PAGE), 9);
+        assert_eq!(img.get(8), 0);
         assert_eq!(img.page_count(), 2);
         img.set(0, 1);
         assert_eq!(img.get(0), 1);
     }
 
     #[test]
-    fn far_addresses_spill_without_growing_the_directory() {
-        let mut img = MemImage::new();
-        let far = 1u64 << 40;
-        img.set(far, 5);
-        img.set(far + 1, 6);
-        assert_eq!(img.get(far), 5);
-        assert_eq!(img.get(far + 1), 6);
+    fn adjacent_words_are_distinct() {
+        let img = MemImage::from_pairs([(0, 1), (8, 2), (16, 3)]);
+        assert_eq!((img.get(0), img.get(8), img.get(16)), (1, 2, 3));
         assert_eq!(img.page_count(), 1);
-        assert!(img.direct.is_empty());
+    }
+
+    #[test]
+    fn a_page_spans_32_kib() {
+        let mut img = MemImage::new();
+        img.set(0, 1);
+        img.set(32_760, 2);
+        assert_eq!(img.page_count(), 1, "0 and 32,760 share a page");
+        img.set(32_768, 3);
+        assert_eq!(img.page_count(), 2, "32,768 starts the next page");
+        assert_eq!((img.get(0), img.get(32_760), img.get(32_768)), (1, 2, 3));
     }
 
     #[test]
     fn iteration_is_ascending_and_skips_zeros() {
+        // Pages on both sides of 2^31 and far beyond it: one ordered map
+        // covers the whole address space.
+        let high = 1u64 << 31;
         let far = 1u64 << 40;
-        let img = MemImage::from_pairs([(far, 50), (9000, 3), (2, 1), (7, 0), (4096, 2)]);
+        let img = MemImage::from_pairs([
+            (far, 50),
+            (high + PAGE, 6),
+            (high, 5),
+            (9000, 3),
+            (16, 1),
+            (56, 0),
+            (PAGE, 2),
+            (high - 8, 4),
+        ]);
         let got: Vec<_> = img.iter_nonzero().collect();
-        assert_eq!(got, vec![(2, 1), (4096, 2), (9000, 3), (far, 50)]);
+        assert_eq!(
+            got,
+            vec![
+                (16, 1),
+                (9000, 3),
+                (PAGE, 2),
+                (high - 8, 4),
+                (high, 5),
+                (high + PAGE, 6),
+                (far, 50)
+            ]
+        );
     }
 
     #[test]
     fn from_iterator_collects() {
-        let img: MemImage = [(1u64, 10u64), (2, 20)].into_iter().collect();
-        assert_eq!(img.get(1), 10);
-        assert_eq!(img.get(2), 20);
+        let img: MemImage = [(8u64, 10u64), (16, 20)].into_iter().collect();
+        assert_eq!(img.get(8), 10);
+        assert_eq!(img.get(16), 20);
     }
 }

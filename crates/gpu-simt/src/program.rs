@@ -18,7 +18,9 @@
 
 use gpu_mem::Addr;
 
-/// One operation issued by a thread.
+/// One operation issued by a thread. Every address is the 8-byte-aligned
+/// byte address of a 64-bit word; the simulator refuses a misaligned one
+/// at issue.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Op {
     /// Begin a transaction.
@@ -36,7 +38,7 @@ pub enum Op {
     /// Atomic compare-and-swap executed at the LLC partition; yields the
     /// old value (swap happened iff old value equals `expect`).
     AtomicCas {
-        /// Target word address.
+        /// Target word's byte address (8-byte aligned).
         addr: Addr,
         /// Expected old value.
         expect: u64,
@@ -45,7 +47,7 @@ pub enum Op {
     },
     /// Atomic add executed at the LLC partition; yields the old value.
     AtomicAdd {
-        /// Target word address.
+        /// Target word's byte address (8-byte aligned).
         addr: Addr,
         /// Addend.
         delta: u64,

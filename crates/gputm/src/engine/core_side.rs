@@ -16,6 +16,21 @@ use sim_core::SimError;
 use warptm::eapg::{self, EapgDecision};
 use warptm::ValidationJob;
 
+/// [`super::check_aligned`] for the address of a memory op; other ops
+/// pass.
+fn check_op_aligned(op: Op) -> Result<(), SimError> {
+    let (what, a) = match op {
+        Op::TxLoad(a) => ("TxLoad", a),
+        Op::TxStore(a, _) => ("TxStore", a),
+        Op::Load(a) => ("Load", a),
+        Op::Store(a, _) => ("Store", a),
+        Op::AtomicCas { addr, .. } => ("AtomicCas", addr),
+        Op::AtomicAdd { addr, .. } => ("AtomicAdd", addr),
+        _ => return Ok(()),
+    };
+    super::check_aligned(what, a)
+}
+
 impl Engine {
     // ===================== issue =====================
 
@@ -26,7 +41,8 @@ impl Engine {
     ///
     /// [`SimError::ProtocolViolation`] if a scheduled lane's staged op does
     /// not match its op-kind group (a program/engine bug, not modelled
-    /// behaviour).
+    /// behaviour), and [`SimError::MisalignedAddress`] if an issuing memory
+    /// op names an address that is not 8-byte aligned.
     pub(crate) fn issue_core(&mut self, c: usize) -> Result<(), SimError> {
         // Compute readiness, including the TxBegin throttle.
         let now = self.now;
@@ -122,10 +138,17 @@ impl Engine {
                     Some(op.kind())
                 })
                 .expect("ready warp has an issuable lane");
-            // Group: every ready lane whose next op has the same kind.
-            let group = lanes_of(ready)
-                .filter(|&l| threads[l as usize].fetch_op().kind() == kind)
-                .fold(0, |m, l| m | 1 << l);
+            // Group: every ready lane whose next op has the same kind. Each
+            // op joins a group once, when it issues, so its address is
+            // checked here and nowhere downstream.
+            let mut group: LaneMask = 0;
+            for l in lanes_of(ready) {
+                let op = threads[l as usize].fetch_op();
+                if op.kind() == kind {
+                    check_op_aligned(op)?;
+                    group |= 1 << l;
+                }
+            }
             (kind, group)
         };
         match kind {

@@ -34,8 +34,7 @@ use fglock::{AtomicOp, AtomicUnit};
 use getm::vu::GetmConfig;
 use getm::{AccessRequest, CommitEntry, CommitUnit, ValidationUnit};
 use gpu_mem::{
-    Addr, BankedMem, Crossbar, Delivery, DramChannel, Geometry, Granule, LineAddr, MemImage,
-    SetAssocCache,
+    Addr, Crossbar, Delivery, DramChannel, Geometry, Granule, LineAddr, MemImage, SetAssocCache,
 };
 use gpu_simt::stack::{lanes_of, LaneMask};
 use gpu_simt::{Backoff, GtoScheduler, LaneList, Op, ThreadStatus, Warp};
@@ -299,9 +298,8 @@ pub struct Engine {
     pub(crate) system: TmSystem,
     pub(crate) geom: Geometry,
     pub(crate) now: Cycle,
-    /// Committed memory image, keyed by word address and banked by
-    /// partition.
-    pub(crate) mem: BankedMem,
+    /// Committed memory image, keyed by 8-byte-aligned byte address.
+    pub(crate) mem: MemImage,
     pub(crate) cores: Vec<CoreState>,
     pub(crate) parts: Vec<Partition>,
     pub(crate) up: Crossbar<UpMsg>,
@@ -360,7 +358,9 @@ impl Engine {
     ///
     /// # Errors
     ///
-    /// Propagates configuration validation failures.
+    /// Propagates configuration validation failures, and returns
+    /// [`SimError::MisalignedAddress`] if an initial-memory address is not
+    /// 8-byte aligned.
     pub fn new(
         workload: &dyn Workload,
         system: TmSystem,
@@ -371,10 +371,11 @@ impl Engine {
             .with_interleave(cfg.interleave);
         let root_rng = DetRng::seeded(cfg.seed);
 
-        let mem = BankedMem::from_pairs(
-            geom,
-            workload.initial_memory().into_iter().map(|(a, v)| (a.0, v)),
-        );
+        let mut mem = MemImage::new();
+        for (a, v) in workload.initial_memory() {
+            check_aligned("initial memory", a)?;
+            mem.set(a.0, v);
+        }
 
         // Partition the grid into warps, round-robin across cores.
         let mode = if system.is_tm() {
@@ -524,11 +525,10 @@ impl Engine {
         std::mem::take(&mut self.hist)
     }
 
-    /// The committed memory image, flattened from the partition banks
-    /// (for the verifier's sequential-oracle comparison). This walks and
-    /// copies every nonzero word — end-of-run use only, not a hot path.
-    pub fn memory_image(&self) -> MemImage {
-        self.mem.merged()
+    /// The committed memory image (for the verifier's sequential-oracle
+    /// comparison).
+    pub fn memory_image(&self) -> &MemImage {
+        &self.mem
     }
 
     /// Runs the simulation to completion and returns the metrics.
@@ -539,9 +539,10 @@ impl Engine {
     /// the configured budget, [`SimError::Livelock`] if the forward-progress
     /// watchdog exhausts its degradation ladder without restoring commit
     /// progress, [`SimError::Interrupted`] if an attached [`CancelToken`]
-    /// fires, or [`SimError::ProtocolViolation`] if a reply cannot be
+    /// fires, [`SimError::ProtocolViolation`] if a reply cannot be
     /// routed to any outstanding request (an engine/protocol-model bug, not
-    /// modelled behaviour).
+    /// modelled behaviour), or [`SimError::MisalignedAddress`] if a memory
+    /// op names an address that is not 8-byte aligned.
     pub fn run(&mut self) -> Result<Metrics, SimError> {
         while !self.drained() {
             self.tick()?;
@@ -1154,6 +1155,17 @@ impl Engine {
                  Interleave::XorHash). Further occurrences are not reported."
             );
         });
+    }
+}
+
+/// Rejects a byte address that is not 8-byte aligned: the memory image
+/// holds whole 64-bit words, so such an address would alias its
+/// neighbouring word.
+pub(crate) fn check_aligned(what: &'static str, a: Addr) -> Result<(), SimError> {
+    if a.0.is_multiple_of(8) {
+        Ok(())
+    } else {
+        Err(SimError::MisalignedAddress { what, addr: a.0 })
     }
 }
 

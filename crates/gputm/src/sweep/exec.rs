@@ -386,6 +386,127 @@ mod tests {
         );
     }
 
+    /// One thread that issues `op` (inside a transaction if it is a
+    /// transactional access) over `initial` memory.
+    struct OneOp {
+        initial: Vec<(gpu_mem::Addr, u64)>,
+        op: gpu_simt::Op,
+    }
+
+    impl workloads::Workload for OneOp {
+        fn name(&self) -> &str {
+            "ONE-OP"
+        }
+
+        fn initial_memory(&self) -> Vec<(gpu_mem::Addr, u64)> {
+            self.initial.clone()
+        }
+
+        fn thread_count(&self) -> usize {
+            1
+        }
+
+        fn program(&self, _tid: usize, _mode: workloads::SyncMode) -> gpu_simt::BoxedProgram {
+            use gpu_simt::Op;
+            let ops = if self.op.is_tx_access() {
+                vec![Op::TxBegin, self.op, Op::TxCommit]
+            } else {
+                vec![self.op]
+            };
+            Box::new(gpu_simt::program::ScriptProgram::new(ops))
+        }
+
+        fn check(&self, _mem: &dyn Fn(gpu_mem::Addr) -> u64) -> Result<(), String> {
+            Ok(())
+        }
+    }
+
+    /// Each misaligned case: an initial word at `0x1004`, then every
+    /// memory op naming `0x1004` over an aligned initial word.
+    fn misaligned_cases() -> Vec<OneOp> {
+        use gpu_mem::Addr;
+        use gpu_simt::Op;
+        let (good, bad) = (Addr(0x1000), Addr(0x1004));
+        let mut cases = vec![OneOp {
+            initial: vec![(bad, 1)],
+            op: Op::TxLoad(good),
+        }];
+        for op in [
+            Op::TxLoad(bad),
+            Op::TxStore(bad, 2),
+            Op::Load(bad),
+            Op::Store(bad, 2),
+            Op::AtomicCas {
+                addr: bad,
+                expect: 1,
+                new: 2,
+            },
+            Op::AtomicAdd {
+                addr: bad,
+                delta: 1,
+            },
+        ] {
+            cases.push(OneOp {
+                initial: vec![(good, 1)],
+                op,
+            });
+        }
+        cases
+    }
+
+    #[test]
+    fn misaligned_addresses_fail_typed_under_getm_and_warptm() {
+        let cfg = GpuConfig::tiny_test();
+        for w in misaligned_cases() {
+            for system in [TmSystem::Getm, TmSystem::WarpTmLL] {
+                let err = crate::runner::Sim::new(&cfg)
+                    .system(system)
+                    .run(&w)
+                    .expect_err("a misaligned word must not run");
+                assert!(
+                    matches!(err, SimError::MisalignedAddress { addr: 0x1004, .. }),
+                    "{system} {:?}: {err:?}",
+                    w.op
+                );
+            }
+        }
+        // The aligned control runs.
+        let ok = OneOp {
+            initial: vec![(gpu_mem::Addr(0x1000), 1)],
+            op: gpu_simt::Op::TxLoad(gpu_mem::Addr(0x1008)),
+        };
+        crate::runner::Sim::new(&cfg)
+            .system(TmSystem::Getm)
+            .run(&ok)
+            .expect("aligned run")
+            .assert_correct();
+    }
+
+    #[test]
+    fn a_misaligned_cell_fails_as_sim() {
+        // The injected runner executes a real engine on the misaligned
+        // workload, so the failure travels the executor's normal path.
+        for (i, case) in misaligned_cases().into_iter().enumerate() {
+            let case = Arc::new(case);
+            let opts = injected(FailurePolicy::CollectAll, move |cell, run| {
+                let out = crate::runner::Sim::new(&cell.cfg)
+                    .system(cell.system)
+                    .run_with(case.as_ref(), run)?;
+                Ok(out.metrics.expect("unverified runs carry metrics"))
+            });
+            let report = run_report(&cells(1), &opts);
+            assert_eq!(report.failures.len(), 1, "case {i}");
+            assert!(
+                matches!(
+                    report.failures[0].error,
+                    FailureKind::Sim(SimError::MisalignedAddress { addr: 0x1004, .. })
+                ),
+                "case {i}: {:?}",
+                report.failures[0].error
+            );
+        }
+    }
+
     #[test]
     fn a_fast_cell_never_sees_its_timeout() {
         let mut opts = injected(FailurePolicy::CollectAll, |_, _| Ok(Metrics::default()));

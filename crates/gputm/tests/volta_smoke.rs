@@ -98,3 +98,32 @@ fn volta_runs_certify_under_the_history_oracle() {
         verdict.summary()
     );
 }
+
+#[test]
+fn memory_image_holds_one_page_per_touched_32_kib_region() {
+    // The committed image indexes 64-bit words, 4096 to a page, in one
+    // map: a run can materialize at most one page per 32 KiB region its
+    // footprint touches, whatever the machine's partition count.
+    let prog = Benchmark::HtH
+        .tx_program(Scale::Fast)
+        .expect("HT-H is a transactional program");
+    let regions: std::collections::BTreeSet<u64> = prog
+        .footprint()
+        .iter()
+        .flat_map(|s| s.base >> 15..=(s.end() - 1) >> 15)
+        .collect();
+    for cfg in [GpuConfig::fermi_15core(), GpuConfig::volta_80core()] {
+        let mut e = gputm::engine::Engine::new(prog.workload(), TmSystem::Getm, &cfg)
+            .expect("engine builds");
+        e.run().expect("HT-H runs to completion");
+        prog.check(&e.memory_reader())
+            .expect("HT-H invariants hold");
+        let pages = e.memory_image().page_count();
+        assert!(
+            pages <= regions.len(),
+            "{} partitions: {pages} pages for {} touched 32 KiB regions",
+            cfg.partitions,
+            regions.len()
+        );
+    }
+}

@@ -101,6 +101,16 @@ pub enum SimError {
         /// The cycle at which the engine noticed the cancellation.
         cycle: u64,
     },
+    /// A workload named a word by a byte address that is not 8-byte
+    /// aligned. Words are 64 bits wide and the memory image holds whole
+    /// words, so such an address would alias its neighbouring word.
+    MisalignedAddress {
+        /// Where the address came from: `"initial memory"` or the op
+        /// (`"TxLoad"`, `"AtomicCas"`, ...).
+        what: &'static str,
+        /// The offending byte address.
+        addr: u64,
+    },
 }
 
 impl fmt::Display for SimError {
@@ -124,6 +134,9 @@ impl fmt::Display for SimError {
             SimError::Livelock(report) => write!(f, "{report}"),
             SimError::Interrupted { cycle } => {
                 write!(f, "simulation interrupted at cycle {cycle}")
+            }
+            SimError::MisalignedAddress { what, addr } => {
+                write!(f, "{what} names misaligned word address {addr:#x}")
             }
         }
     }
@@ -196,6 +209,18 @@ mod tests {
         assert_eq!(
             SimError::Interrupted { cycle: 99 }.to_string(),
             "simulation interrupted at cycle 99"
+        );
+    }
+
+    #[test]
+    fn misaligned_display() {
+        assert_eq!(
+            SimError::MisalignedAddress {
+                what: "TxLoad",
+                addr: 0x1004
+            }
+            .to_string(),
+            "TxLoad names misaligned word address 0x1004"
         );
     }
 

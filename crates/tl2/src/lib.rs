@@ -152,7 +152,8 @@ pub struct Tl2Run {
     pub counters: Tl2Counters,
     /// The recorded history, when [`Tl2Options::record_history`] was set.
     pub history: Option<History>,
-    /// Final memory as `(word address, value)` pairs (zero words omitted).
+    /// Final memory as `(8-byte-aligned byte address, value)` pairs (zero
+    /// words omitted).
     pub final_mem: Vec<(u64, u64)>,
     /// Host wall time of the parallel section.
     pub wall: Duration,

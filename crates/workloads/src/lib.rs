@@ -56,8 +56,9 @@ pub trait Workload {
     /// Short name matching the paper ("HT-H", "ATM", ...).
     fn name(&self) -> &str;
 
-    /// Initial memory contents as `(word address, value)` pairs; unlisted
-    /// words are zero.
+    /// Initial memory contents as `(address, value)` pairs, each address
+    /// the 8-byte-aligned byte address of a 64-bit word; unlisted words are
+    /// zero. The simulator refuses a misaligned address.
     fn initial_memory(&self) -> Vec<(Addr, u64)>;
 
     /// Number of threads the kernel launches.

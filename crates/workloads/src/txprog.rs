@@ -121,7 +121,8 @@ impl TxProgram {
         self.workload.thread_count()
     }
 
-    /// Initial memory contents as `(word address, value)` pairs.
+    /// Initial memory contents as `(8-byte-aligned byte address, value)`
+    /// pairs.
     pub fn initial_memory(&self) -> Vec<(Addr, u64)> {
         self.workload.initial_memory()
     }
