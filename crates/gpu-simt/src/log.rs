@@ -4,10 +4,9 @@
 //! loads record the observed value (needed by WarpTM's value-based
 //! validation), stores record the new value. GETM only *transmits* the
 //! write log at commit, but still records reads to drive intra-warp
-//! conflict detection, exactly as the paper describes (Sec. V-A). The
-//! engine runs that check at issue: the first lane to touch a granule
-//! wins, and a later lane conflicts if either access writes it
-//! ([`TxLogs::wrote_granule`], [`TxLogs::read_granule`]).
+//! conflict detection, exactly as the paper describes (Sec. V-A).
+//! [`TxLogs::wrote_granule`] and [`TxLogs::read_granule`] ask whether the
+//! transaction touched a granule; EAPG's broadcast check uses them.
 
 use gpu_mem::{Addr, Geometry, Granule};
 use std::collections::HashMap;
