@@ -136,11 +136,11 @@ fn main() {
     };
     let cfg = GpuConfig::tiny_test();
     let atm = Benchmark::Atm.build(Scale::Fast);
-    // 150 increments a thread: a walk run lasts over 100 ms, so the
+    // 250 increments a thread: a walk run lasts over 100 ms, so the
     // row's ratio is not at the mercy of a few ms of jitter.
     let idle = IdleHeavy {
         threads: 32,
-        rounds: 150,
+        rounds: 250,
         spin: 5000,
     };
     // 150 transactions a thread: over 100 ms a run on either path, so
