@@ -24,11 +24,11 @@
 //! genuine regression collapses the ratio far below any plausible jitter.
 
 use bench::cli::exit_usage;
-use bench::idle::IdleHeavy;
 use gputm::config::{GpuConfig, TmSystem};
 use gputm::engine::Engine;
 use gputm::metrics::Metrics;
 use std::time::Instant;
+use workloads::idle::IdleHeavy;
 use workloads::suite::{Benchmark, Scale};
 use workloads::Workload;
 

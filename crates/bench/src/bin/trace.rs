@@ -18,17 +18,6 @@ use std::path::PathBuf;
 const TRACE_USAGE: &str =
     "usage: trace [BENCH] [SYSTEM] [--trace PATH] [--probe METRIC] [common flags]";
 
-fn parse_system(name: &str) -> TmSystem {
-    TmSystem::ALL
-        .into_iter()
-        .find(|s| s.label().eq_ignore_ascii_case(name))
-        .unwrap_or_else(|| {
-            let known: Vec<&str> = TmSystem::ALL.iter().map(|s| s.label()).collect();
-            let e = format!("unknown system {name:?} (known: {})", known.join(", "));
-            bench::cli::exit_usage(&e, TRACE_USAGE)
-        })
-}
-
 fn main() {
     let args = bench::cli::Args::parse();
     let bench: Benchmark = args
@@ -42,7 +31,10 @@ fn main() {
     let system = args
         .positional
         .get(1)
-        .map(|s| parse_system(s))
+        .map(|s| {
+            s.parse::<TmSystem>()
+                .unwrap_or_else(|e| bench::cli::exit_usage(&e.to_string(), TRACE_USAGE))
+        })
         .unwrap_or(TmSystem::Getm);
     let path = args
         .trace

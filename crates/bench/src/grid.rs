@@ -1,10 +1,13 @@
-//! Grid selection and report rendering for the `sweep` binary.
+//! Grid selection for the `sweep` and `verify` binaries, and report
+//! rendering for `sweep`.
 //!
 //! The grid vocabulary — positional benchmark names, `--system NAME`
-//! (repeatable), `--all-systems`, `--tiny`, `--gpu` — turns into an
-//! [`ExperimentSpec`], and a finished [`SweepReport`] into one
-//! deterministic stdout row per completed cell, so a serial, a parallel
-//! and a resumed run of the same grid print byte-identical stdout.
+//! (repeatable), `--all-systems`, `--tiny`, `--gpu` — is parsed here and
+//! nowhere else. It turns into a system list and a base machine, which
+//! `sweep` crosses into an [`ExperimentSpec`] and `verify` runs subject by
+//! subject. A finished [`SweepReport`] renders as one deterministic stdout
+//! row per completed cell, so a serial, a parallel and a resumed run of
+//! the same grid print byte-identical stdout.
 
 use gputm::config::{GpuConfig, TmSystem};
 use gputm::sweep::{ExperimentSpec, SweepReport};
@@ -26,7 +29,7 @@ pub enum GpuModel {
 /// Grid-selection flags: which benchmarks, systems, and base machine.
 #[derive(Debug, Clone, Default)]
 pub struct GridArgs {
-    /// Sweep the small test machine instead of the 15-core Fermi.
+    /// Run the small test machine instead of the 15-core Fermi.
     pub tiny: bool,
     /// Run every TM system (overrides `systems`).
     pub all_systems: bool,
@@ -55,7 +58,7 @@ impl GridArgs {
                 "--all-systems" => out.all_systems = true,
                 "--system" => {
                     let v = it.next().ok_or("--system needs a value")?;
-                    out.systems.push(parse_system(&v)?);
+                    out.systems.push(v.parse().map_err(|e| format!("{e}"))?);
                 }
                 "--gpu" => {
                     let v = it.next().ok_or("--gpu needs a value")?;
@@ -73,6 +76,28 @@ impl GridArgs {
         Ok((out, rest))
     }
 
+    /// The selected systems: every one with `--all-systems`, else the
+    /// `--system` picks, else GETM alone.
+    pub fn systems(&self) -> Vec<TmSystem> {
+        if self.all_systems {
+            TmSystem::ALL.to_vec()
+        } else if self.systems.is_empty() {
+            vec![TmSystem::Getm]
+        } else {
+            self.systems.clone()
+        }
+    }
+
+    /// The base machine `--tiny` and `--gpu` select.
+    pub fn base_config(&self) -> GpuConfig {
+        match (self.tiny, self.gpu) {
+            (true, GpuModel::Fermi) => GpuConfig::tiny_test(),
+            (true, GpuModel::Volta) => GpuConfig::tiny_volta(),
+            (false, GpuModel::Fermi) => GpuConfig::fermi_15core(),
+            (false, GpuModel::Volta) => GpuConfig::volta_80core(),
+        }
+    }
+
     /// Builds the experiment grid these flags plus the shared CLI
     /// arguments describe.
     ///
@@ -80,13 +105,6 @@ impl GridArgs {
     ///
     /// Describes an unknown positional benchmark name.
     pub fn build_spec(&self, args: &crate::cli::Args) -> Result<ExperimentSpec, String> {
-        let systems = if self.all_systems {
-            TmSystem::ALL.to_vec()
-        } else if self.systems.is_empty() {
-            vec![TmSystem::Getm]
-        } else {
-            self.systems.clone()
-        };
         let benchmarks: Vec<Benchmark> = if args.positional.is_empty() {
             Benchmark::ALL.to_vec()
         } else {
@@ -95,29 +113,13 @@ impl GridArgs {
                 .map(|name| name.parse().map_err(|e| format!("{e}")))
                 .collect::<Result<_, _>>()?
         };
-        let base = match (self.tiny, self.gpu) {
-            (true, GpuModel::Fermi) => GpuConfig::tiny_test(),
-            (true, GpuModel::Volta) => GpuConfig::tiny_volta(),
-            (false, GpuModel::Fermi) => GpuConfig::fermi_15core(),
-            (false, GpuModel::Volta) => GpuConfig::volta_80core(),
-        };
         Ok(ExperimentSpec::grid()
             .benchmarks(benchmarks)
-            .systems(systems)
+            .systems(self.systems())
             .scale(args.scale)
-            .base(base)
+            .base(self.base_config())
             .build())
     }
-}
-
-fn parse_system(name: &str) -> Result<TmSystem, String> {
-    TmSystem::ALL
-        .into_iter()
-        .find(|s| s.label().eq_ignore_ascii_case(name))
-        .ok_or_else(|| {
-            let known: Vec<&str> = TmSystem::ALL.iter().map(|s| s.label()).collect();
-            format!("unknown system {name:?} (known: {})", known.join(", "))
-        })
 }
 
 /// Renders a sweep report: the deterministic stdout table (one row per
@@ -159,13 +161,13 @@ pub fn render_report(report: &SweepReport, total: usize) -> ExitCode {
     }
 }
 
-/// The `sweep` binary's grid-selection usage text.
+/// The grid-selection usage text of `sweep` and `verify`.
 pub const GRID_USAGE: &str = "\
 grid selection:
   [BENCH ...]        benchmark names (default: the whole suite)
   --system NAME      a TM system to run (repeatable; default: GETM)
   --all-systems      run every TM system
-  --tiny             sweep the small test machine, not the 15-core Fermi
+  --tiny             run the small test machine, not the 15-core Fermi
   --gpu NAME         machine generation: fermi (default) or volta
                      (sectored L1 + hashed banked LLC + HBM timing)";
 
@@ -190,7 +192,7 @@ mod tests {
     fn unknown_system_is_an_error() {
         assert!(GridArgs::strip_from(strs(&["--system", "zzz"]))
             .unwrap_err()
-            .contains("unknown system"));
+            .contains("unknown TM system"));
         assert!(GridArgs::strip_from(strs(&["--system"]))
             .unwrap_err()
             .contains("needs a value"));

@@ -27,7 +27,6 @@
 pub mod cli;
 pub mod figures;
 pub mod grid;
-pub mod idle;
 pub mod traceview;
 
 use gputm::config::{GpuConfig, TmSystem};

@@ -30,10 +30,12 @@ fn fig_rejects_an_unknown_flag_and_an_unknown_id() {
 }
 
 #[test]
-fn stm_rejects_zero_threads() {
-    let stm = env!("CARGO_BIN_EXE_stm");
-    assert_usage_exit(stm, &["--tiny", "--threads", "0"], "usage: stm");
-    assert_usage_exit(stm, &["--tiny", "--threads", "0"], "positive integer");
+fn verify_rejects_zero_threads_and_an_unknown_gpu() {
+    let verify = env!("CARGO_BIN_EXE_verify");
+    assert_usage_exit(verify, &["--tiny", "--threads", "0"], "usage: verify");
+    assert_usage_exit(verify, &["--tiny", "--threads", "0"], "positive integer");
+    assert_usage_exit(verify, &["--gpu", "pascal"], "usage: verify");
+    assert_usage_exit(verify, &["--gpu", "pascal"], "unknown gpu \"pascal\"");
 }
 
 #[test]

@@ -145,15 +145,31 @@ fn disabled_telemetry_costs_less_than_two_percent_of_a_sweep() {
     );
 }
 
+/// Direct/swept pairs the robustness guard times. Odd, so the median is
+/// one pair's ratio.
+const PAIRS: usize = 21;
+
+fn median(mut xs: Vec<f64>) -> f64 {
+    xs.sort_by(f64::total_cmp);
+    xs[xs.len() / 2]
+}
+
 /// The same budget for the sweep executor's robustness machinery: with
 /// everything off (no progress reporter, fail-fast policy so the retry
 /// loop is a single pass, no per-cell timeout, no cache/journal), routing
 /// a cell through the fault-isolated executor — `catch_unwind`, policy
 /// dispatch, worker scope, result channel — must cost less than 2% over
-/// calling the cell directly. The guard times both paths on the same cell,
-/// interleaved (direct, swept, direct, swept, ...), and compares their
-/// minima; the fixed per-sweep cost (one thread spawn, one channel) is
-/// sub-millisecond against a multi-hundred-millisecond run.
+/// calling the cell directly. The guard times both paths on the same cell
+/// back to back, [`PAIRS`] times, and gates the median of the pairs'
+/// swept/direct ratios, as `enginebench` does: a pair shares its host
+/// phase, and the median drops the pairs that noise hit unevenly. The
+/// fixed per-sweep cost (one thread spawn, one channel) is sub-millisecond
+/// against the ATM cell's run, about 170 ms in a release build.
+///
+/// The direct call runs on a fresh thread, as the executor's worker does:
+/// with the direct call on the test's own thread, the median of one
+/// process read anywhere from 0.79 to 1.10, so the two threads'
+/// placement, not the executor, set the ratio.
 #[test]
 fn disabled_sweep_robustness_costs_less_than_two_percent_of_a_run() {
     let _serial = timing_lock();
@@ -161,48 +177,56 @@ fn disabled_sweep_robustness_costs_less_than_two_percent_of_a_run() {
     let spec = ExperimentSpec::from_cells(vec![cell.clone()]);
     let opts = SweepOptions::new().threads(1);
 
-    // The executor's one structural extra over a direct call is a worker
-    // thread plus a channel handoff. On a loaded machine (tier-1 runs the
-    // whole workspace's test binaries in parallel processes, which an
-    // in-process lock cannot serialize) a thread wakeup queues behind
-    // other work for milliseconds — environmental scheduling latency, not
-    // executor machinery. Probe that floor with bare spawn+join cycles
-    // and grant its worst case (times a few wakeups per sweep) on top of
-    // the 2% budget; on an idle host — the CI step runs this binary alone
-    // — the grant is microseconds and the bound stays tight. Measuring in
-    // rounds keeps one unlucky window from failing the suite: a real
-    // regression inflates every round, noise does not survive three.
-    let mut direct_min = Duration::MAX;
-    let mut swept_min = Duration::MAX;
+    // Both paths spawn a thread; the executor's structural extra over the
+    // direct call is its result channel and the wakeups that hand a
+    // result across it. On a loaded machine (tier-1 runs the whole
+    // workspace's test binaries in parallel processes, which an in-process
+    // lock cannot serialize) a thread wakeup queues behind other work for
+    // milliseconds — environmental scheduling latency, not executor
+    // machinery. Probe that floor with bare spawn+join cycles and grant
+    // its worst case (times a few wakeups per sweep) on top of the 2%
+    // budget; on an idle host — the CI step runs this binary alone — the
+    // grant is a few hundred microseconds, at most about 0.3% of a run,
+    // and the bound stays tight.
     let mut handoff_max = Duration::ZERO;
-    for round in 0..3 {
-        for _ in 0..5 {
-            let t = Instant::now();
-            std::thread::spawn(|| {}).join().expect("probe thread");
-            handoff_max = handoff_max.max(t.elapsed());
-        }
-        // Alternate the two paths so both minima come from the same host
-        // phases: timing every direct run before every swept run lets a
-        // drift between the two blocks read as executor overhead.
-        for _ in 0..3 {
-            direct_min = direct_min.min(min_time(1, || {
-                black_box(cell.run().expect("run"));
-            }));
-            swept_min = swept_min.min(min_time(1, || {
-                let report = run_sweep_report(&spec, &opts);
-                assert!(report.is_complete());
-                black_box(&report.outcomes);
-            }));
-        }
-        if swept_min < direct_min.mul_f64(1.02) + handoff_max * 4 {
-            return;
-        }
-        eprintln!(
-            "round {round}: swept {swept_min:?} vs direct {direct_min:?} \
-             (handoff floor {handoff_max:?}) — outside budget, re-measuring"
-        );
+    for _ in 0..5 {
+        let t = Instant::now();
+        std::thread::spawn(|| {}).join().expect("probe thread");
+        handoff_max = handoff_max.max(t.elapsed());
     }
-    let budget = direct_min.mul_f64(1.02) + handoff_max * 4;
+    let grant = handoff_max * 4;
+    let direct = || {
+        min_time(1, || {
+            std::thread::scope(|scope| {
+                scope.spawn(|| black_box(cell.run().expect("run")));
+            });
+        })
+    };
+    let swept = || {
+        min_time(1, || {
+            let report = run_sweep_report(&spec, &opts);
+            assert!(report.is_complete());
+            black_box(&report.outcomes);
+        })
+    };
+    let mut ratios = Vec::with_capacity(PAIRS);
+    for pair in 0..PAIRS {
+        // Alternate which path goes first, so neither always inherits the
+        // other's cache and allocator state.
+        let (d, s) = if pair % 2 == 0 {
+            let d = direct();
+            (d, swept())
+        } else {
+            let s = swept();
+            (direct(), s)
+        };
+        // Per pair this is `s < d * 1.02 + grant`, the budget as a ratio.
+        ratios.push(s.saturating_sub(grant).as_secs_f64() / d.as_secs_f64());
+    }
+    let ratio = median(ratios);
+    if ratio < 1.02 {
+        return;
+    }
     // A 2% wall-clock ratio is only trustworthy with parallel headroom: on
     // a single-CPU host every thread handoff in the executor competes with
     // the measuring thread itself for the one core, and a stray timeslice
@@ -213,13 +237,12 @@ fn disabled_sweep_robustness_costs_less_than_two_percent_of_a_run() {
     if single_cpu {
         eprintln!(
             "SKIPPED assert: single-CPU host cannot time a 2% budget \
-             (swept {swept_min:?}, direct {direct_min:?}, budget {budget:?})"
+             (median swept/direct ratio {ratio:.4} over {PAIRS} pairs)"
         );
         return;
     }
     panic!(
-        "fault-isolated executor took {swept_min:?} against a direct run's \
-         {direct_min:?} (budget {budget:?}, scheduling floor {handoff_max:?}) \
-         — the disabled robustness path must stay within 2%"
+        "fault-isolated executor: median swept/direct ratio {ratio:.4} over {PAIRS} pairs \
+         (scheduling grant {grant:?} per pair) — the disabled robustness path must stay within 2%"
     );
 }

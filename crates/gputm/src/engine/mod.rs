@@ -451,8 +451,8 @@ pub struct Engine {
     /// — every warp asleep or unissuable, both crossbars quiet — are elided
     /// by jumping the clock to the next scheduled event. Purely a simulator
     /// speedup: metrics and traces are bit-identical either way (the A/B
-    /// test suite pins this). The `legacy-loop` cargo feature flips the
-    /// default for pre-change comparison runs.
+    /// test suite pins this); off is the reference path it compares
+    /// against.
     pub(crate) idle_skip: bool,
     // --- reusable scratch, hoisted out of the per-cycle hot loop ---
     /// Drain buffer for up-crossbar deliveries.
@@ -583,7 +583,7 @@ impl Engine {
             rollover_pending: false,
             wd: WatchdogState::new(&cfg.watchdog, system.is_tm()),
             cancel: None,
-            idle_skip: !cfg!(feature = "legacy-loop"),
+            idle_skip: true,
             up_buf: Vec::new(),
             down_buf: Vec::new(),
             survivors_buf: Vec::new(),
@@ -601,9 +601,9 @@ impl Engine {
     /// so callers written against the sharded engine still compile.
     pub fn set_exec(&mut self, _exec: ExecMode) {}
 
-    /// Enables or disables idle skip-ahead (on by default unless the
-    /// `legacy-loop` feature is set). Exposed so the A/B equality tests and
-    /// the engine benchmark can run both paths in one binary.
+    /// Enables or disables idle skip-ahead (on by default). Exposed so the
+    /// A/B equality tests and the engine benchmark can run both paths in
+    /// one binary.
     pub fn set_idle_skip(&mut self, on: bool) {
         self.idle_skip = on;
     }

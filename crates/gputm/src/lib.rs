@@ -65,7 +65,7 @@ pub use config::{GpuConfig, Sabotage, TmSystem, WatchdogConfig};
 pub use exec::ExecMode;
 pub use metrics::{HostProfile, Metrics, ShardProfile};
 pub use runner::{RunOptions, RunOutcome, Sim};
-pub use verify::{Checker, Verdict, VerifiedRun};
+pub use verify::{Checker, Verdict};
 
 /// Common imports for examples and benchmarks.
 pub mod prelude {
@@ -81,7 +81,7 @@ pub mod prelude {
         ResultCache, SweepOptions, SweepOutcome, SweepReport,
     };
     pub use crate::telemetry::{CampaignEvent, Telemetry, TelemetrySink};
-    pub use crate::verify::{Checker, Verdict, VerifiedRun, Violation, ViolationKind};
+    pub use crate::verify::{Checker, Verdict, Violation, ViolationKind};
     pub use sim_core::SimError;
     pub use tl2::{Tl2Counters, Tl2Error, Tl2Options, Tl2Run, Tl2Sabotage};
     pub use workloads::suite::{Benchmark, Scale};

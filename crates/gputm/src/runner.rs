@@ -209,7 +209,7 @@ impl<'a> Sim<'a> {
                 metrics: Some(metrics),
                 verdict: None,
                 history: None,
-                final_mem: Some(engine.memory_image().clone()),
+                final_mem: Some(std::mem::take(&mut engine.mem)),
             });
         }
         engine.attach_history(HistoryRecorder::recording());
@@ -225,7 +225,7 @@ impl<'a> Sim<'a> {
                     .detach_history()
                     .take()
                     .expect("engine held the sole history handle");
-                let final_mem = engine.memory_image().clone();
+                let final_mem = std::mem::take(&mut engine.mem);
                 let verdict = opts.verify.then(|| {
                     verify::Checker::for_run(&initial, &final_mem)
                         .strict(

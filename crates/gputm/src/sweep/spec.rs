@@ -74,7 +74,8 @@ impl CellSpec {
 
     /// Like [`CellSpec::run`], under `opts`: a cancel
     /// token a watchdog can raise to interrupt a runaway cell, a trace
-    /// recorder. Verification is [`CellSpec::run_verified`]'s job.
+    /// recorder. A certified run is [`Sim::run_with`] under
+    /// [`RunOptions::verify`], whose verdict this method does not return.
     ///
     /// # Errors
     ///
@@ -97,25 +98,6 @@ impl CellSpec {
     /// See [`CellSpec::run`].
     pub fn run_traced(&self, recorder: sim_core::Recorder) -> Result<Metrics, SimError> {
         self.run_with(&RunOptions::default().trace(recorder))
-    }
-
-    /// Like [`CellSpec::run`], but with history recording on and the
-    /// serializability/opacity checker applied (see [`crate::verify`]).
-    /// Cache lookups never serve verified runs — call this directly when a
-    /// certificate is wanted.
-    ///
-    /// # Errors
-    ///
-    /// See [`CellSpec::run`].
-    pub fn run_verified(&self) -> Result<crate::verify::VerifiedRun, SimError> {
-        let workload = self.benchmark.build(self.scale);
-        let out = Sim::new(&self.cfg)
-            .system(self.system)
-            .run_with(workload.as_ref(), &RunOptions::default().verify(true))?;
-        Ok(crate::verify::VerifiedRun {
-            metrics: out.metrics,
-            verdict: out.verdict.expect("verified runs always carry a verdict"),
-        })
     }
 }
 

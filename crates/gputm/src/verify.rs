@@ -31,7 +31,6 @@
 //! from the graph — not the commit sequence — is the primary certificate;
 //! the commit sequence only breaks ties and drives the fallback.
 
-use crate::metrics::Metrics;
 use gpu_mem::MemImage;
 use sim_core::history::{History, HistoryStats, TxnKind, TxnOutcome, TxnRecord, INITIAL_VERSION};
 use sim_core::trace::{EventBus, SimEvent, Stamp, TraceSink};
@@ -270,17 +269,6 @@ impl Verdict {
     pub fn assert_ok(&self) {
         assert!(self.ok(), "verification failed: {}", self.summary());
     }
-}
-
-/// A verified run: the usual metrics (when the run completed) plus the
-/// checker's verdict.
-#[derive(Debug, Clone)]
-pub struct VerifiedRun {
-    /// Run metrics; `None` when the engine died with a protocol violation
-    /// before draining.
-    pub metrics: Option<Metrics>,
-    /// The checker's judgement.
-    pub verdict: Verdict,
 }
 
 /// A verdict for a run the engine itself rejected with

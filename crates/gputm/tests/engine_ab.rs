@@ -12,6 +12,7 @@ use gputm::engine::Engine;
 use gputm::metrics::Metrics;
 use sim_core::history::HistoryRecorder;
 use sim_core::Recorder;
+use workloads::atm::Atm;
 use workloads::fuzz::{Fuzz, FuzzShape};
 use workloads::suite::{Benchmark, Scale};
 use workloads::Workload;
@@ -37,14 +38,17 @@ fn run_engine(
     (m, text, e.outstanding_tokens())
 }
 
-fn assert_ab(w: &dyn Workload, system: TmSystem, cfg: &GpuConfig) {
+/// Runs `w` with skip-ahead off (the reference path) and on, asserts the
+/// two runs are indistinguishable, and returns their metrics.
+fn assert_ab(w: &dyn Workload, system: TmSystem, cfg: &GpuConfig) -> Metrics {
     let (m_off, t_off, tok_off) = run_engine(w, system, cfg, false);
     let (m_on, t_on, tok_on) = run_engine(w, system, cfg, true);
     let who = format!("{} under {system}", w.name());
     assert_eq!(m_off, m_on, "{who}: metrics diverged between loop paths");
     assert_eq!(t_off, t_on, "{who}: traces diverged between loop paths");
-    assert_eq!(tok_off, 0, "{who}: legacy path leaked tokens");
+    assert_eq!(tok_off, 0, "{who}: reference path leaked tokens");
     assert_eq!(tok_on, 0, "{who}: skip path leaked tokens");
+    m_on
 }
 
 /// Every benchmark under the paper's system: skip-ahead is invisible.
@@ -72,6 +76,32 @@ fn idle_skip_is_invisible_across_systems() {
             assert_ab(w.as_ref(), system, &cfg);
         }
     }
+}
+
+/// The Volta tier's sectored caches, hashed interleave and `Hbm` timing,
+/// under every system.
+#[test]
+fn idle_skip_is_invisible_on_the_volta_tier() {
+    let cfg = GpuConfig::tiny_volta();
+    for system in TmSystem::ALL {
+        for b in [Benchmark::Atm, Benchmark::HtH] {
+            assert_ab(b.build(Scale::Fast).as_ref(), system, &cfg);
+        }
+    }
+}
+
+/// A timestamp limit low enough that GETM rolls its clocks over several
+/// times (the machine of `tests/rollover.rs`).
+#[test]
+fn idle_skip_is_invisible_across_timestamp_rollovers() {
+    let mut cfg = GpuConfig::tiny_test();
+    cfg.cores = 2;
+    cfg.warps_per_core = 4;
+    cfg.warp_width = 8;
+    cfg.partitions = 2;
+    cfg.ts_limit = 96;
+    let m = assert_ab(&Atm::new(64, 64, 4, 11), TmSystem::Getm, &cfg);
+    assert!(m.rollovers > 1, "only {} rollovers", m.rollovers);
 }
 
 /// Two engines in one process own differently seeded hashers for any

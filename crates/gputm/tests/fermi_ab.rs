@@ -19,6 +19,10 @@
 //! golden covers the preset. Its fast-scale grids do not fill a 64-slot
 //! core, so `partial_warp.rs` covers that edge.
 //!
+//! Every cell runs twice, with idle skip-ahead on (the default) and off
+//! (the reference loop that walks every cycle), and both runs must match
+//! the one pinned row.
+//!
 //! To regenerate after an intentional model change (requires a ROADMAP
 //! decision, not a casual rerun):
 //!
@@ -107,10 +111,11 @@ fn fingerprint(m: &Metrics, trace: &str) -> String {
     )
 }
 
-fn run_cell(cfg: &GpuConfig, b: Benchmark, system: TmSystem) -> String {
+fn run_cell(cfg: &GpuConfig, b: Benchmark, system: TmSystem, idle_skip: bool) -> String {
     let w = b.build(Scale::Fast);
     let rec = Recorder::recording(1 << 16);
     let mut e = Engine::new(w.as_ref(), system, cfg).expect("engine builds");
+    e.set_idle_skip(idle_skip);
     e.attach_recorder(rec.clone());
     let m = e.run().expect("cell completes");
     let trace = rec
@@ -121,8 +126,9 @@ fn run_cell(cfg: &GpuConfig, b: Benchmark, system: TmSystem) -> String {
     fingerprint(&m, &trace)
 }
 
-/// Runs every cell on `cfg` and compares it with `golden`, or prints the
-/// table rows instead when `FERMI_AB_PRINT` is set.
+/// Runs every cell on `cfg` with idle skip-ahead on and off (the
+/// reference loop) and compares both runs with `golden`, or prints the
+/// skip-on table rows instead when `FERMI_AB_PRINT` is set.
 fn check_golden(
     what: &str,
     cfg: &GpuConfig,
@@ -133,17 +139,22 @@ fn check_golden(
     let mut failures = Vec::new();
     for &(b, system) in cells {
         let label = format!("{}/{}", b.name(), system.label());
-        let actual = run_cell(cfg, b, system);
         if print {
+            let actual = run_cell(cfg, b, system, true);
             println!("    (\"{label}\", \"{actual}\"),");
             continue;
         }
-        match golden.iter().find(|(l, _)| *l == label) {
-            Some((_, want)) if *want == actual => {}
-            Some((_, want)) => {
-                failures.push(format!("{label}:\n  pinned  {want}\n  actual  {actual}"))
+        let Some((_, want)) = golden.iter().find(|(l, _)| *l == label) else {
+            failures.push(format!("{label}: no pinned fingerprint"));
+            continue;
+        };
+        for (idle_skip, path) in [(true, "skip-ahead"), (false, "reference loop")] {
+            let actual = run_cell(cfg, b, system, idle_skip);
+            if *want != actual {
+                failures.push(format!(
+                    "{label} ({path}):\n  pinned  {want}\n  actual  {actual}"
+                ));
             }
-            None => failures.push(format!("{label}: no pinned fingerprint")),
         }
     }
     assert!(

@@ -9,69 +9,13 @@
 //! idle.
 
 use gpu_mem::Addr;
-use gpu_simt::program::ScriptProgram;
 use gpu_simt::{BoxedProgram, Op, OpResult, ThreadProgram};
 use gputm::config::{GpuConfig, TmSystem};
 use gputm::engine::Engine;
 use gputm::metrics::Metrics;
 use sim_core::{CancelToken, Recorder, SimError};
+use workloads::idle::IdleHeavy;
 use workloads::{SyncMode, Workload};
-
-/// Private-slot counter loop: each thread spins for `spin` cycles, then
-/// increments its own word transactionally. No two threads share an
-/// address, so the machine spends almost the whole run waiting on compute
-/// timers — the idle-heaviest shape the engine can see.
-struct IdleHeavy {
-    threads: usize,
-    rounds: u64,
-    spin: u32,
-}
-
-impl IdleHeavy {
-    fn slot(tid: usize) -> Addr {
-        Addr(0x1000 + tid as u64 * 8)
-    }
-}
-
-impl Workload for IdleHeavy {
-    fn name(&self) -> &str {
-        "IDLE"
-    }
-
-    fn initial_memory(&self) -> Vec<(Addr, u64)> {
-        Vec::new()
-    }
-
-    fn thread_count(&self) -> usize {
-        self.threads
-    }
-
-    fn program(&self, tid: usize, _mode: SyncMode) -> BoxedProgram {
-        let slot = Self::slot(tid);
-        let mut ops = Vec::with_capacity(self.rounds as usize * 5);
-        for round in 0..self.rounds {
-            ops.push(Op::Compute(self.spin));
-            ops.push(Op::TxBegin);
-            ops.push(Op::TxLoad(slot));
-            ops.push(Op::TxStore(slot, round + 1));
-            ops.push(Op::TxCommit);
-        }
-        Box::new(ScriptProgram::new(ops))
-    }
-
-    fn check(&self, mem: &dyn Fn(Addr) -> u64) -> Result<(), String> {
-        for tid in 0..self.threads {
-            let got = mem(Self::slot(tid));
-            if got != self.rounds {
-                return Err(format!(
-                    "thread {tid}: slot holds {got}, want {}",
-                    self.rounds
-                ));
-            }
-        }
-        Ok(())
-    }
-}
 
 /// A thread program that spins and commits forever: the run only ends
 /// when something outside the machine stops it.

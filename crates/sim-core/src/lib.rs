@@ -39,5 +39,5 @@ pub use hash::StableHasher;
 pub use history::{History, HistoryRecorder};
 pub use rng::DetRng;
 pub use slab::TokenSlab;
-pub use stats::{Counter, Histogram, LogHistogram, MaxTracker, RatioStat, StatSet, TimeSeries};
+pub use stats::{Counter, LogHistogram, MaxTracker, RatioStat, TimeSeries};
 pub use trace::{AbortCause, EventBus, Recorder, SimEvent, Stamp, TraceSink, WatchdogStage};

@@ -5,7 +5,6 @@
 //! the end of a run. All types here are plain accumulators — cheap to update
 //! on hot paths and trivially mergeable across runs.
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// A monotonically increasing event count.
@@ -124,56 +123,6 @@ impl RatioStat {
     pub fn merge(&mut self, other: &RatioStat) {
         self.sum += other.sum;
         self.n += other.n;
-    }
-}
-
-/// A sparse histogram over `u64` buckets.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct Histogram {
-    buckets: BTreeMap<u64, u64>,
-}
-
-impl Histogram {
-    /// An empty histogram.
-    pub fn new() -> Self {
-        Histogram::default()
-    }
-
-    /// Records one observation of `v`.
-    pub fn observe(&mut self, v: u64) {
-        *self.buckets.entry(v).or_insert(0) += 1;
-    }
-
-    /// Total number of observations.
-    pub fn count(&self) -> u64 {
-        self.buckets.values().sum()
-    }
-
-    /// Mean of all observations (0.0 if empty).
-    pub fn mean(&self) -> f64 {
-        let n = self.count();
-        if n == 0 {
-            return 0.0;
-        }
-        let sum: u64 = self.buckets.iter().map(|(v, c)| v * c).sum();
-        sum as f64 / n as f64
-    }
-
-    /// Largest observed value (None if empty).
-    pub fn max(&self) -> Option<u64> {
-        self.buckets.keys().next_back().copied()
-    }
-
-    /// Iterates over `(value, count)` pairs in increasing value order.
-    pub fn iter(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.buckets.iter().map(|(&v, &c)| (v, c))
-    }
-
-    /// Folds another histogram into this one.
-    pub fn merge(&mut self, other: &Histogram) {
-        for (&v, &c) in &other.buckets {
-            *self.buckets.entry(v).or_insert(0) += c;
-        }
     }
 }
 
@@ -398,42 +347,6 @@ impl TimeSeries {
     }
 }
 
-/// A named bundle of counters, handy for ad-hoc per-component stats that the
-/// harness dumps verbatim.
-#[derive(Debug, Clone, Default)]
-pub struct StatSet {
-    values: BTreeMap<&'static str, u64>,
-}
-
-impl StatSet {
-    /// An empty set.
-    pub fn new() -> Self {
-        StatSet::default()
-    }
-
-    /// Adds `n` to the named counter, creating it at zero if absent.
-    pub fn add(&mut self, name: &'static str, n: u64) {
-        *self.values.entry(name).or_insert(0) += n;
-    }
-
-    /// Reads a counter (zero if never touched).
-    pub fn get(&self, name: &str) -> u64 {
-        self.values.get(name).copied().unwrap_or(0)
-    }
-
-    /// Iterates over `(name, value)` in name order.
-    pub fn iter(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
-        self.values.iter().map(|(&k, &v)| (k, v))
-    }
-
-    /// Folds another set into this one.
-    pub fn merge(&mut self, other: &StatSet) {
-        for (&k, &v) in &other.values {
-            *self.values.entry(k).or_insert(0) += v;
-        }
-    }
-}
-
 /// Geometric mean of a slice of positive values; 0.0 for an empty slice.
 ///
 /// Used for the "GMEAN" column of the paper's figures. Non-positive inputs
@@ -490,38 +403,6 @@ mod tests {
         r.merge(&s);
         assert_eq!(r.count(), 3);
         assert_eq!(r.mean(), 4.0);
-    }
-
-    #[test]
-    fn histogram() {
-        let mut h = Histogram::new();
-        assert_eq!(h.mean(), 0.0);
-        assert_eq!(h.max(), None);
-        h.observe(2);
-        h.observe(2);
-        h.observe(8);
-        assert_eq!(h.count(), 3);
-        assert_eq!(h.mean(), 4.0);
-        assert_eq!(h.max(), Some(8));
-        let pairs: Vec<_> = h.iter().collect();
-        assert_eq!(pairs, vec![(2, 2), (8, 1)]);
-        let mut g = Histogram::new();
-        g.observe(2);
-        h.merge(&g);
-        assert_eq!(h.count(), 4);
-    }
-
-    #[test]
-    fn stat_set() {
-        let mut s = StatSet::new();
-        s.add("loads", 2);
-        s.add("loads", 3);
-        assert_eq!(s.get("loads"), 5);
-        assert_eq!(s.get("missing"), 0);
-        let mut t = StatSet::new();
-        t.add("stores", 1);
-        s.merge(&t);
-        assert_eq!(s.get("stores"), 1);
     }
 
     #[test]

@@ -788,8 +788,9 @@ pub fn run(prog: &TxProgram, opts: &Tl2Options) -> Result<Tl2Run, Tl2Error> {
 
     let mut values: Vec<AtomicU64> = (0..total).map(|_| AtomicU64::new(0)).collect();
     for (addr, v) in prog.initial_memory() {
-        // TxProgram::new guarantees initial memory lies inside the footprint.
-        let w = map.index_of(addr.0).expect("initial memory in footprint");
+        let w = map
+            .index_of(addr.0)
+            .ok_or(Tl2Error::InitialOutOfFootprint { addr: addr.0 })?;
         *values[w].get_mut() = v;
     }
     let hist_len = if opts.record_history { total } else { 0 };
@@ -879,6 +880,7 @@ mod tests {
     use workloads::atm::Atm;
     use workloads::fuzz::{Fuzz, FuzzShape};
     use workloads::hashtable::HashTable;
+    use workloads::MemSpan;
 
     fn opts(threads: usize) -> Tl2Options {
         Tl2Options::default().threads(threads).record_history(true)
@@ -935,6 +937,16 @@ mod tests {
                 ..
             }
         ));
+    }
+
+    #[test]
+    fn rejects_an_initial_word_outside_the_footprint() {
+        // A one-word span far below ATM's account table: every initial
+        // balance is a stray word.
+        let p = TxProgram::new(Box::new(Atm::new(8, 4, 1, 1)), vec![MemSpan::new(0x40, 1)]);
+        let stray = p.initial_memory()[0].0 .0;
+        let err = run(&p, &opts(2)).unwrap_err();
+        assert!(matches!(err, Tl2Error::InitialOutOfFootprint { addr } if addr == stray));
     }
 
     #[test]

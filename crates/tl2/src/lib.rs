@@ -183,6 +183,11 @@ pub enum Tl2Error {
         /// The stray byte address.
         addr: u64,
     },
+    /// An initial-memory word lies outside the declared footprint.
+    InitialOutOfFootprint {
+        /// The stray byte address.
+        addr: u64,
+    },
     /// A program misused the transactional interface (nested begin, plain
     /// op inside a transaction, `Done` mid-transaction, ...).
     Program {
@@ -211,6 +216,9 @@ impl std::fmt::Display for Tl2Error {
             }
             Tl2Error::OutOfFootprint { tid, addr } => {
                 write!(f, "thread {tid} accessed {addr:#x} outside the footprint")
+            }
+            Tl2Error::InitialOutOfFootprint { addr } => {
+                write!(f, "initial memory at {addr:#x} outside the footprint")
             }
             Tl2Error::Program { tid, what } => write!(f, "thread {tid}: {what}"),
             Tl2Error::Livelock { tid, attempts } => {

@@ -250,8 +250,8 @@ mod tests {
     fn checker_detects_lost_increment() {
         let w = Apriori::new(8, 6, 2, 3);
         let mut mem = run_workload_sequential(&w, SyncMode::Tm);
-        let v = mem.read(COUNTERS.at(0));
-        mem.write(COUNTERS.at(0), v + 1);
-        assert!(w.check(&mem.reader()).is_err());
+        let v = mem.get(COUNTERS.at(0).0);
+        mem.set(COUNTERS.at(0).0, v + 1);
+        assert!(w.check(&|a| mem.get(a.0)).is_err());
     }
 }

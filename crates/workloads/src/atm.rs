@@ -308,8 +308,8 @@ mod tests {
     fn checker_detects_lost_update() {
         let w = Atm::new(16, 8, 2, 3);
         let mut mem = run_workload_sequential(&w, SyncMode::Tm);
-        let a0 = mem.read(ACCOUNTS.at(0));
-        mem.write(ACCOUNTS.at(0), a0 + 1);
-        assert!(w.check(&mem.reader()).is_err());
+        let a0 = mem.get(ACCOUNTS.at(0).0);
+        mem.set(ACCOUNTS.at(0).0, a0 + 1);
+        assert!(w.check(&|a| mem.get(a.0)).is_err());
     }
 }

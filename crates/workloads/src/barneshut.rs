@@ -515,14 +515,14 @@ mod tests {
         // Duplicate a root body slot into an empty one; the checker must
         // flag it as a duplicate or as misfiled.
         let tag = (0..8u64)
-            .map(|c| mem.read(NODES.field(0, c)))
+            .map(|c| mem.get(NODES.field(0, c).0))
             .find(|&v| is_body(v));
         if let Some(tag) = tag {
             let empty = (0..8u64)
-                .find(|&c| mem.read(NODES.field(0, c)) == 0)
+                .find(|&c| mem.get(NODES.field(0, c).0) == 0)
                 .expect("root has an empty slot");
-            mem.write(NODES.field(0, empty), tag);
-            assert!(w.check(&mem.reader()).is_err());
+            mem.set(NODES.field(0, empty).0, tag);
+            assert!(w.check(&|a| mem.get(a.0)).is_err());
         }
     }
 }

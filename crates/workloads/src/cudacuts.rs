@@ -272,8 +272,8 @@ mod tests {
     fn checker_detects_leak() {
         let w = CudaCuts::new(3, 3, 1);
         let mut mem = run_workload_sequential(&w, SyncMode::Tm);
-        let v = mem.read(EXCESS.at(0));
-        mem.write(EXCESS.at(0), v - 1);
-        assert!(w.check(&mem.reader()).is_err());
+        let v = mem.get(EXCESS.at(0).0);
+        mem.set(EXCESS.at(0).0, v - 1);
+        assert!(w.check(&|a| mem.get(a.0)).is_err());
     }
 }

@@ -782,9 +782,9 @@ mod tests {
     fn checker_detects_a_lost_delta() {
         let w = Fuzz::new(FuzzShape::SingleCell, 8, 2, 1);
         let mut mem = run_workload_sequential(&w, SyncMode::Tm);
-        let v = mem.read(RMW.at(0));
-        mem.write(RMW.at(0), v - 1);
-        assert!(w.check(&mem.reader()).is_err());
+        let v = mem.get(RMW.at(0).0);
+        mem.set(RMW.at(0).0, v - 1);
+        assert!(w.check(&|a| mem.get(a.0)).is_err());
     }
 
     #[test]

@@ -311,12 +311,13 @@ mod tests {
     fn checker_rejects_missing_insert() {
         let w = HashTable::ht_h(16, 5);
         // Run all but one thread.
-        let mut mem = crate::testutil::MemImage::from_initial(&w.initial_memory());
+        let mut mem =
+            gpu_mem::MemImage::from_pairs(w.initial_memory().into_iter().map(|(a, v)| (a.0, v)));
         for tid in 0..w.thread_count() - 1 {
             let mut p = w.program(tid, SyncMode::Tm);
             crate::testutil::run_program_sequential(p.as_mut(), &mut mem, 100_000);
         }
-        assert!(w.check(&mem.reader()).is_err());
+        assert!(w.check(&|a| mem.get(a.0)).is_err());
     }
 
     #[test]
@@ -325,9 +326,9 @@ mod tests {
         let mut mem = crate::testutil::run_workload_sequential(&w, SyncMode::Tm);
         // Simulate a lost insert: clear one bucket that has a chain.
         let busy = (0..16u64)
-            .find(|&b| mem.read(BUCKETS.at(b)) != 0)
+            .find(|&b| mem.get(BUCKETS.at(b).0) != 0)
             .expect("some bucket is populated");
-        mem.write(BUCKETS.at(busy), 0);
-        assert!(w.check(&mem.reader()).is_err());
+        mem.set(BUCKETS.at(busy).0, 0);
+        assert!(w.check(&|a| mem.get(a.0)).is_err());
     }
 }

@@ -32,6 +32,7 @@ pub mod cloth;
 pub mod cudacuts;
 pub mod fuzz;
 pub mod hashtable;
+pub mod idle;
 pub mod suite;
 pub mod testutil;
 pub mod txprog;

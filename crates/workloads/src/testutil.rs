@@ -8,39 +8,8 @@
 //! serializability oracle for the full simulator's final states.
 
 use crate::{SyncMode, Workload};
-use gpu_mem::Addr;
+use gpu_mem::{Addr, MemImage};
 use gpu_simt::{Op, OpResult, ThreadProgram};
-use std::collections::HashMap;
-
-/// A flat memory image keyed by word address.
-#[derive(Debug, Clone, Default)]
-pub struct MemImage {
-    words: HashMap<u64, u64>,
-}
-
-impl MemImage {
-    /// Creates an image from initial contents.
-    pub fn from_initial(init: &[(Addr, u64)]) -> Self {
-        MemImage {
-            words: init.iter().map(|&(a, v)| (a.0, v)).collect(),
-        }
-    }
-
-    /// Reads a word (unwritten words are zero).
-    pub fn read(&self, a: Addr) -> u64 {
-        self.words.get(&a.0).copied().unwrap_or(0)
-    }
-
-    /// Writes a word.
-    pub fn write(&mut self, a: Addr, v: u64) {
-        self.words.insert(a.0, v);
-    }
-
-    /// A closure view suitable for [`Workload::check`].
-    pub fn reader(&self) -> impl Fn(Addr) -> u64 + '_ {
-        move |a| self.read(a)
-    }
-}
 
 /// Runs one program to completion against `mem`, applying transactional
 /// writes at commit (redo-log semantics) and forwarding read-own-writes.
@@ -71,7 +40,7 @@ pub fn run_program_sequential(
             Op::TxCommit => {
                 assert!(in_tx, "TxCommit outside transaction");
                 for &(a, v) in &redo {
-                    mem.write(a, v);
+                    mem.set(a.0, v);
                 }
                 redo.clear();
                 in_tx = false;
@@ -80,28 +49,28 @@ pub fn run_program_sequential(
             Op::TxLoad(a) => {
                 assert!(in_tx, "TxLoad outside transaction");
                 let fwd = redo.iter().rev().find(|&&(ra, _)| ra == a).map(|&(_, v)| v);
-                prev = OpResult::Value(fwd.unwrap_or_else(|| mem.read(a)));
+                prev = OpResult::Value(fwd.unwrap_or_else(|| mem.get(a.0)));
             }
             Op::TxStore(a, v) => {
                 assert!(in_tx, "TxStore outside transaction");
                 redo.push((a, v));
                 prev = OpResult::None;
             }
-            Op::Load(a) => prev = OpResult::Value(mem.read(a)),
+            Op::Load(a) => prev = OpResult::Value(mem.get(a.0)),
             Op::Store(a, v) => {
-                mem.write(a, v);
+                mem.set(a.0, v);
                 prev = OpResult::None;
             }
             Op::AtomicCas { addr, expect, new } => {
-                let old = mem.read(addr);
+                let old = mem.get(addr.0);
                 if old == expect {
-                    mem.write(addr, new);
+                    mem.set(addr.0, new);
                 }
                 prev = OpResult::Value(old);
             }
             Op::AtomicAdd { addr, delta } => {
-                let old = mem.read(addr);
-                mem.write(addr, old.wrapping_add(delta));
+                let old = mem.get(addr.0);
+                mem.set(addr.0, old.wrapping_add(delta));
                 prev = OpResult::Value(old);
             }
             Op::Compute(_) => prev = OpResult::None,
@@ -118,12 +87,13 @@ pub fn run_program_sequential(
 /// Panics if the checker rejects the final state — the workload's program
 /// logic and checker disagree, which is a workload bug.
 pub fn run_workload_sequential(workload: &dyn Workload, mode: SyncMode) -> MemImage {
-    let mut mem = MemImage::from_initial(&workload.initial_memory());
+    let mut mem =
+        MemImage::from_pairs(workload.initial_memory().into_iter().map(|(a, v)| (a.0, v)));
     for tid in 0..workload.thread_count() {
         let mut prog = workload.program(tid, mode);
         run_program_sequential(prog.as_mut(), &mut mem, 5_000_000);
     }
-    if let Err(e) = workload.check(&mem.reader()) {
+    if let Err(e) = workload.check(&|a| mem.get(a.0)) {
         panic!("{} sequential run failed its checker: {e}", workload.name());
     }
     mem
@@ -139,7 +109,8 @@ pub fn run_workload_round_robin(workload: &dyn Workload, mode: SyncMode) -> MemI
         prev: OpResult,
         done: bool,
     }
-    let mut mem = MemImage::from_initial(&workload.initial_memory());
+    let mut mem =
+        MemImage::from_pairs(workload.initial_memory().into_iter().map(|(a, v)| (a.0, v)));
     let mut slots: Vec<Slot> = (0..workload.thread_count())
         .map(|tid| Slot {
             prog: workload.program(tid, mode),
@@ -175,7 +146,7 @@ pub fn run_workload_round_robin(workload: &dyn Workload, mode: SyncMode) -> MemI
                     }
                     Op::TxCommit => {
                         for &(a, v) in &redo {
-                            mem.write(a, v);
+                            mem.set(a.0, v);
                         }
                         redo.clear();
                         slot.prev = OpResult::None;
@@ -183,15 +154,15 @@ pub fn run_workload_round_robin(workload: &dyn Workload, mode: SyncMode) -> MemI
                     }
                     Op::TxLoad(a) => {
                         let fwd = redo.iter().rev().find(|&&(ra, _)| ra == a).map(|&(_, v)| v);
-                        slot.prev = OpResult::Value(fwd.unwrap_or_else(|| mem.read(a)));
+                        slot.prev = OpResult::Value(fwd.unwrap_or_else(|| mem.get(a.0)));
                     }
                     Op::TxStore(a, v) => {
                         redo.push((a, v));
                         slot.prev = OpResult::None;
                     }
-                    Op::Load(a) => slot.prev = OpResult::Value(mem.read(a)),
+                    Op::Load(a) => slot.prev = OpResult::Value(mem.get(a.0)),
                     Op::Store(a, v) => {
-                        mem.write(a, v);
+                        mem.set(a.0, v);
                         slot.prev = OpResult::None;
                         // Yield at lock releases (stores outside tx).
                         if !in_tx {
@@ -199,9 +170,9 @@ pub fn run_workload_round_robin(workload: &dyn Workload, mode: SyncMode) -> MemI
                         }
                     }
                     Op::AtomicCas { addr, expect, new } => {
-                        let old = mem.read(addr);
+                        let old = mem.get(addr.0);
                         if old == expect {
-                            mem.write(addr, new);
+                            mem.set(addr.0, new);
                         }
                         slot.prev = OpResult::Value(old);
                         // Yield after every atomic so spin-lock contenders
@@ -210,8 +181,8 @@ pub fn run_workload_round_robin(workload: &dyn Workload, mode: SyncMode) -> MemI
                         break;
                     }
                     Op::AtomicAdd { addr, delta } => {
-                        let old = mem.read(addr);
-                        mem.write(addr, old.wrapping_add(delta));
+                        let old = mem.get(addr.0);
+                        mem.set(addr.0, old.wrapping_add(delta));
                         slot.prev = OpResult::Value(old);
                         break;
                     }
@@ -220,7 +191,7 @@ pub fn run_workload_round_robin(workload: &dyn Workload, mode: SyncMode) -> MemI
             }
         }
     }
-    if let Err(e) = workload.check(&mem.reader()) {
+    if let Err(e) = workload.check(&|a| mem.get(a.0)) {
         panic!(
             "{} round-robin run failed its checker: {e}",
             workload.name()
@@ -245,7 +216,7 @@ mod tests {
         ]);
         let n = run_program_sequential(&mut p, &mut mem, 100);
         assert_eq!(n, 4);
-        assert_eq!(mem.read(Addr(8)), 42);
+        assert_eq!(mem.get(8), 42);
     }
 
     #[test]
@@ -264,7 +235,7 @@ mod tests {
             },
         ]);
         run_program_sequential(&mut p, &mut mem, 100);
-        assert_eq!(mem.read(Addr(0)), 7, "second CAS must fail");
+        assert_eq!(mem.get(0), 7, "second CAS must fail");
     }
 
     #[test]
