@@ -61,6 +61,21 @@ fn idle_skip_is_invisible_for_every_benchmark_under_getm() {
     }
 }
 
+/// GETM and WarpTM-LL at transactional-concurrency limits of 1 and 2,
+/// where most of the tiny machine's warps wait at `TxBegin` behind the
+/// throttle, on the benchmarks that queue there the most.
+#[test]
+fn idle_skip_is_invisible_on_throttled_machines() {
+    for limit in [1, 2] {
+        let cfg = GpuConfig::tiny_test().with_concurrency(Some(limit));
+        for system in [TmSystem::Getm, TmSystem::WarpTmLL] {
+            for b in [Benchmark::HtH, Benchmark::Atm, Benchmark::Cl, Benchmark::Bh] {
+                assert_ab(b.build(Scale::Fast).as_ref(), system, &cfg);
+            }
+        }
+    }
+}
+
 /// A contended and an uncontended benchmark under every other system.
 #[test]
 fn idle_skip_is_invisible_across_systems() {
