@@ -146,10 +146,14 @@ fn main() {
     // 150 transactions a thread: over 100 ms a run on either path, so
     // timer and scheduler jitter stay small against the ratio.
     let fz = workloads::fuzz::Fuzz::new(workloads::fuzz::FuzzShape::SingleCell, 32, 150, 7);
+    // One region a core at a time: most warps wait at TxBegin behind the
+    // throttle, the state the per-cycle walks skip.
+    let held = cfg.clone().with_concurrency(Some(1));
     let rows = vec![
         measure("atm-contended", atm.as_ref(), &cfg),
         measure("fuzz-singlecell", &fz, &cfg),
         measure("idle-sparse", &idle, &cfg),
+        measure("throttle-held", atm.as_ref(), &held),
     ];
     for r in &rows {
         println!(
