@@ -508,6 +508,53 @@ mod tests {
     }
 
     #[test]
+    fn a_fully_warm_sweep_is_served_from_the_cache_alone() {
+        use crate::sweep::ResultCache;
+        use crate::telemetry::{CampaignEvent, MemorySink, Telemetry};
+        let dir = std::env::temp_dir().join(format!("getm-exec-warm-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let cells = cells(6);
+        let cold = injected(FailurePolicy::CollectAll, |cell, _| {
+            Ok(Metrics {
+                cycles: 100 + cell.benchmark as u64,
+                ..Metrics::default()
+            })
+        })
+        .threads(2)
+        .cache(ResultCache::new(&dir));
+        let first = run_report(&cells, &cold);
+        assert!(first.is_complete());
+        assert!(first.outcomes.iter().all(|o| !o.cached));
+
+        // Warm: a runner that would panic on any cell, so only the cache
+        // can have produced the results.
+        let (sink, captured) = MemorySink::new();
+        let warm = injected(FailurePolicy::FailFast, |cell, _| {
+            panic!("{} must be served from the cache", cell.label())
+        })
+        .threads(2)
+        .cache(ResultCache::new(&dir))
+        .telemetry(Telemetry::to_sinks(vec![Box::new(sink)]));
+        let report = run_report(&cells, &warm);
+        assert!(report.is_complete(), "{:?}", report.failures);
+        assert!(report.outcomes.iter().all(|o| o.cached));
+        for (a, b) in first.outcomes.iter().zip(&report.outcomes) {
+            assert_eq!(a.metrics, b.metrics, "{}", a.cell.label());
+        }
+        let hits: Vec<usize> = captured
+            .lock()
+            .unwrap()
+            .iter()
+            .filter_map(|(_, e)| match e {
+                CampaignEvent::CellCacheHit { idx, .. } => Some(*idx),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(hits, (0..cells.len()).collect::<Vec<_>>(), "spec order");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn a_fast_cell_never_sees_its_timeout() {
         let mut opts = injected(FailurePolicy::CollectAll, |_, _| Ok(Metrics::default()));
         opts.cell_timeout = Some(Duration::from_secs(3600));

@@ -302,31 +302,98 @@ mod tests {
     use crate::telemetry::{MemorySink, Telemetry};
     use workloads::suite::{Benchmark, Scale};
 
-    #[test]
-    fn the_ledger_keeps_one_set_of_books() {
-        let dir = std::env::temp_dir().join(format!("getm-ledger-{}", std::process::id()));
+    fn tmp_dir(tag: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("getm-ledger-{tag}-{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
-        let cells: Vec<CellSpec> = Benchmark::ALL[..5]
+        dir
+    }
+
+    fn five_cells() -> Vec<CellSpec> {
+        Benchmark::ALL[..5]
             .iter()
             .map(|&b| CellSpec::new(b, Scale::Fast, TmSystem::Getm, GpuConfig::tiny_test()))
-            .collect();
+            .collect()
+    }
+
+    /// A success for `cells[idx]` whose metrics name the cell.
+    fn outcome(cells: &[CellSpec], idx: usize, cached: bool, degraded: bool) -> SweepOutcome {
+        let metrics = Metrics {
+            cycles: 100 + idx as u64,
+            degraded,
+            ..Metrics::default()
+        };
+        SweepOutcome {
+            cell: cells[idx].clone(),
+            metrics,
+            cached,
+            elapsed: Duration::ZERO,
+        }
+    }
+
+    /// The names of the files in `dir` (none if it does not exist).
+    fn files_in(dir: &std::path::Path) -> Vec<String> {
+        let mut names: Vec<String> = std::fs::read_dir(dir)
+            .map(|rd| {
+                rd.filter_map(Result::ok)
+                    .map(|e| e.file_name().to_string_lossy().into_owned())
+                    .collect()
+            })
+            .unwrap_or_default();
+        names.sort();
+        names
+    }
+
+    #[test]
+    fn cache_hits_open_no_journal_until_a_computed_cell_lands() {
+        let dir = tmp_dir("hits");
+        let cells = five_cells();
+        let digest = sweep_digest(&cells);
+        let journal = format!("sweep-{digest}.journal");
+        let lock = format!("{journal}.lock");
+        let opts = SweepOptions::new().cache(ResultCache::new(&dir));
+
+        let mut ledger = Ledger::open(&cells, &opts, 2);
+        for idx in [2, 0, 1] {
+            ledger.record(idx, Ok(outcome(&cells, idx, true, false)));
+        }
+        let names = files_in(&dir);
+        assert!(
+            !names.contains(&journal) && !names.contains(&lock),
+            "cache hits must write no journal: {names:?}"
+        );
+
+        ledger.record(4, Ok(outcome(&cells, 4, false, false)));
+        let names = files_in(&dir);
+        assert!(
+            names.contains(&journal) && names.contains(&lock),
+            "a computed cell opens the journal: {names:?}"
+        );
+        let lines = std::fs::read_to_string(dir.join(&journal)).expect("journal on disk");
+        assert_eq!(
+            lines.lines().skip(1).collect::<Vec<_>>(),
+            [cells[4].cache_key()]
+        );
+
+        ledger.record(3, Ok(outcome(&cells, 3, true, false)));
+        assert!(ledger.into_report().is_complete());
+        let names = files_in(&dir);
+        assert!(
+            !names.contains(&journal) && !names.contains(&lock),
+            "a complete run removes its journal and lock: {names:?}"
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn the_ledger_keeps_one_set_of_books() {
+        let dir = tmp_dir("books");
+        let cells = five_cells();
         let (sink, captured) = MemorySink::new();
         let opts = SweepOptions::new()
             .cache(ResultCache::new(&dir))
             .telemetry(Telemetry::to_sinks(vec![Box::new(sink)]));
-        let outcome = |idx: usize, cached: bool, degraded: bool| {
-            let metrics = Metrics {
-                cycles: 100 + idx as u64,
-                degraded,
-                ..Metrics::default()
-            };
-            SweepOutcome {
-                cell: cells[idx].clone(),
-                metrics,
-                cached,
-                elapsed: Duration::ZERO,
-            }
-        };
+        let outcome =
+            |idx: usize, cached: bool, degraded: bool| outcome(&cells, idx, cached, degraded);
 
         // Cells 0-3 are computed, failed, cached and degraded; cell 4 is
         // never filled. Results arrive out of spec order.
