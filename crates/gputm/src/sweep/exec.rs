@@ -1,20 +1,23 @@
 //! The fault-isolated, multi-threaded cell executor.
 //!
-//! Workers claim unfinished cells in spec order from one shared cursor
-//! (cells are coarse, so one atomic increment per cell is all the
-//! scheduling they need). Each cell's attempt notes and its
-//! finished result stream over one channel to the caller's thread, whose
-//! ledger slots results by index — so the returned vector is in spec
-//! order no matter which worker finished first, and a cell's events reach
-//! the telemetry sinks in the order the worker produced them.
+//! The ledger reads the whole grid from the result cache on the caller's
+//! thread first, so workers exist only for the cache's misses: a
+//! fully-warm sweep spawns no thread. Workers claim the misses in spec
+//! order from one shared cursor (cells are coarse, so one atomic
+//! increment per cell is all the scheduling they need). Each cell's
+//! attempt notes and its finished result stream over one channel to the
+//! caller's thread, whose ledger slots results by index — so the returned
+//! vector is in spec order no matter which worker finished first, and a
+//! cell's events reach the telemetry sinks in the order the worker
+//! produced them.
 //!
 //! [`run_cell`] is the one place a cell is attempted and retried. Each
 //! attempt runs inside `catch_unwind` with an optional wall-clock
 //! watchdog thread holding a [`CancelToken`]: a panicking or runaway
 //! cell is contained to its slot and reported as a
-//! [`CellFailure`], per the sweep's [`FailurePolicy`]. The ledger
-//! journals completed cells next to the result cache so a killed sweep
-//! resumes.
+//! [`CellFailure`], per the sweep's [`FailurePolicy`]. Workers do no
+//! file I/O: the ledger stores each computed cell in the cache and
+//! journals it next to the cache, so a killed sweep resumes.
 //!
 //! Everything is built from `std` scoped threads and channels; the
 //! determinism argument needs no synchronization help because each cell
@@ -58,7 +61,7 @@ pub(super) fn run_report(cells: &[CellSpec], opts: &SweepOptions) -> SweepReport
     }
     let workers = opts.resolved_threads().min(total).max(1);
     let mut ledger = Ledger::open(cells, opts, workers);
-    // Cells a resumed journal recalled are already in the books.
+    // Cache hits are already in the books; workers get only the misses.
     let pending: Vec<usize> = (0..total).filter(|&i| !ledger.is_filled(i)).collect();
     let next = AtomicUsize::new(0);
 
@@ -66,7 +69,7 @@ pub(super) fn run_report(cells: &[CellSpec], opts: &SweepOptions) -> SweepReport
     let stop = AtomicBool::new(false);
     std::thread::scope(|scope| {
         let (tx, rx) = mpsc::channel::<(usize, Report)>();
-        for _ in 0..workers {
+        for _ in 0..workers.min(pending.len()) {
             let tx = tx.clone();
             let (pending, next, stop) = (&pending, &next, &stop);
             scope.spawn(move || {
@@ -110,27 +113,16 @@ enum Report {
     Done(CellResult),
 }
 
-/// Runs one cell to a verdict: cache, then up to the policy's attempt
-/// count of fault-isolated executions. Each attempt's start and retry go
-/// to `note`; a cache hit makes no attempt and sends none. The failure is
-/// boxed to keep the happy path's return slot small.
+/// Runs one cell the cache lacks to a verdict: up to the policy's
+/// attempt count of fault-isolated executions. Each attempt's start and
+/// retry go to `note`. The failure is boxed to keep the happy path's
+/// return slot small.
 fn run_cell(
     cell: &CellSpec,
     opts: &SweepOptions,
     mut note: impl FnMut(Note),
 ) -> Result<SweepOutcome, Box<CellFailure>> {
     let start = Instant::now();
-    let key = opts.result_cache.as_ref().map(|c| (c, cell.cache_key()));
-    if let Some((cache, key)) = &key {
-        if let Some(metrics) = cache.load(key) {
-            return Ok(SweepOutcome {
-                cell: cell.clone(),
-                metrics,
-                cached: true,
-                elapsed: start.elapsed(),
-            });
-        }
-    }
     let budget = opts.failure_policy.attempts();
     let mut attempt = 0;
     let error = loop {
@@ -141,12 +133,6 @@ fn run_cell(
         note(Note::Started { attempt });
         match run_attempt(cell, opts) {
             Ok(metrics) => {
-                if let Some((cache, key)) = &key {
-                    if let Err(e) = cache.store(key, &metrics) {
-                        // A failed store costs a recomputation next run.
-                        eprintln!("sweep: could not cache {}: {e}", cell.label());
-                    }
-                }
                 return Ok(SweepOutcome {
                     cell: cell.clone(),
                     metrics,
@@ -551,6 +537,75 @@ mod tests {
             })
             .collect();
         assert_eq!(hits, (0..cells.len()).collect::<Vec<_>>(), "spec order");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_complete_warm_rerun_removes_a_crashed_campaigns_journal() {
+        use crate::sweep::{sweep_digest, ResultCache};
+        use crate::telemetry::{CampaignEvent, MemorySink, Telemetry};
+        let dir = std::env::temp_dir().join(format!("getm-exec-stale-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let cells = cells(4);
+        let cache = ResultCache::new(&dir);
+        let cold = injected(FailurePolicy::CollectAll, |cell, _| {
+            Ok(Metrics {
+                cycles: 100 + cell.benchmark as u64,
+                ..Metrics::default()
+            })
+        })
+        .cache(cache.clone());
+        let first = run_report(&cells, &cold);
+        assert!(first.is_complete());
+
+        // A crashed campaign over the same cells: its journal names two
+        // cells, and its lock is stamped with a pid that cannot be alive.
+        let digest = sweep_digest(&cells);
+        let journal = dir.join(format!("sweep-{digest}.journal"));
+        let lock = dir.join(format!("sweep-{digest}.journal.lock"));
+        let plant = || {
+            let lines: Vec<String> = [0, 2].iter().map(|&i| cells[i].cache_key()).collect();
+            let text = format!("getm-sweep-journal-v1 {digest}\n{}\n", lines.join("\n"));
+            std::fs::write(&journal, text).unwrap();
+            std::fs::write(&lock, format!("{}\n", u32::MAX)).unwrap();
+        };
+        let warm = |resume: bool| {
+            let (sink, captured) = MemorySink::new();
+            let opts = injected(FailurePolicy::FailFast, |cell, _| {
+                panic!("{} must be served from the cache", cell.label())
+            })
+            .cache(cache.clone())
+            .resume(resume)
+            .telemetry(Telemetry::to_sinks(vec![Box::new(sink)]));
+            let report = run_report(&cells, &opts);
+            let events: Vec<CampaignEvent> =
+                captured.lock().unwrap().drain(..).map(|e| e.1).collect();
+            (report, events)
+        };
+        let resumed = |events: &[CampaignEvent]| match events[0] {
+            CampaignEvent::CampaignStarted { resumed, .. } => resumed,
+            ref other => panic!("first event {other:?}"),
+        };
+
+        plant();
+        let (report, events) = warm(false);
+        assert!(report.is_complete());
+        assert!(report.outcomes.iter().all(|o| o.cached));
+        assert_eq!(resumed(&events), 0);
+        assert!(!journal.exists() && !lock.exists(), "stale journal removed");
+
+        plant();
+        let (report, events) = warm(true);
+        assert!(report.is_complete());
+        assert_eq!(resumed(&events), 2, "the planted lines");
+        for (a, b) in first.outcomes.iter().zip(&report.outcomes) {
+            assert!(b.cached);
+            assert_eq!(a.metrics, b.metrics, "{}", a.cell.label());
+        }
+        assert!(
+            !journal.exists() && !lock.exists(),
+            "resumed journal removed"
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 

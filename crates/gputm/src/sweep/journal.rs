@@ -1,17 +1,19 @@
-//! Crash-safe sweep journal: an append-only record of completed cells.
+//! Crash-safe sweep journal: an append-only record of computed cells.
 //!
 //! The result cache makes finished cells cheap to recall, but it is
 //! content-addressed and shared across every sweep that ever ran — it
 //! cannot say whether *this* campaign finished. The journal closes that
-//! gap: each sweep writes one small file next to the cache
-//! (`sweep-<digest>.journal`, where the digest is a stable hash of the
-//! cell list) and appends a cell's cache key, fsynced, the moment the
-//! cell completes. A process killed mid-sweep therefore leaves a journal
-//! that names exactly the finished cells; rerunning the sweep with
-//! `resume` on reports how much survives and recomputes only the rest
-//! (served by the cache), byte-identical to an uninterrupted run. A
-//! journal whose sweep completes is deleted — an existing journal always
-//! means an unfinished campaign.
+//! gap: a sweep that computes a cell writes one small file next to the
+//! cache (`sweep-<digest>.journal`, where the digest is a stable hash of
+//! the cells' cache keys) and appends each computed cell's key, fsynced,
+//! the moment the cell is stored. A cache hit is already durable in the
+//! cache and writes nothing, so a fully-warm sweep never opens a journal.
+//! A process killed mid-sweep therefore leaves a journal that names the
+//! cells it computed; rerunning the sweep with `resume` on reports that
+//! count and recomputes only what the cache lacks, byte-identical to an
+//! uninterrupted run. A sweep that completes removes its digest's journal
+//! — one it opened or one an earlier run left — so an existing journal
+//! always means an unfinished campaign.
 //!
 //! The file format is one header line (`getm-sweep-journal-v1 <digest>`)
 //! followed by one 32-hex-digit cache key per line. Reads tolerate a torn
@@ -33,10 +35,15 @@ const HEADER: &str = "getm-sweep-journal-v1";
 /// cells' cache keys, in order. Two sweeps over the same cells share a
 /// journal; any change to any cell (or to the order) makes a new one.
 pub fn sweep_digest(cells: &[CellSpec]) -> String {
+    keys_digest(cells.iter().map(CellSpec::cache_key))
+}
+
+/// [`sweep_digest`] of cells whose cache keys are already computed.
+pub(crate) fn keys_digest<K: AsRef<str>>(keys: impl IntoIterator<Item = K>) -> String {
     let mut h = StableHasher::new();
     h.write_str(HEADER);
-    for c in cells {
-        h.write_str(&c.cache_key());
+    for key in keys {
+        h.write_str(key.as_ref());
     }
     h.finish_hex()
 }
@@ -76,7 +83,7 @@ impl SweepJournal {
     /// itself is unaffected, only crash accounting is lost.
     pub fn open(dir: &Path, digest: &str, resume: bool) -> std::io::Result<Self> {
         std::fs::create_dir_all(dir)?;
-        let path = dir.join(format!("sweep-{digest}.journal"));
+        let path = Self::path_in(dir, digest);
         let lock = LockFile::acquire(&dir.join(format!("sweep-{digest}.journal.lock")))?;
         let completed = if resume {
             read_completed(&path, digest)
@@ -108,6 +115,11 @@ impl SweepJournal {
         })
     }
 
+    /// Where the journal for `digest` under `dir` lives.
+    pub(crate) fn path_in(dir: &Path, digest: &str) -> PathBuf {
+        dir.join(format!("sweep-{digest}.journal"))
+    }
+
     /// Where the journal lives.
     pub fn path(&self) -> &Path {
         &self.path
@@ -124,7 +136,7 @@ impl SweepJournal {
         self.completed.len()
     }
 
-    /// Records one completed cell, durably (append + fsync).
+    /// Records one computed cell, durably (append + fsync).
     ///
     /// # Errors
     ///
@@ -132,7 +144,7 @@ impl SweepJournal {
     /// is already in the cache — only crash accounting degrades).
     pub fn record(&mut self, key: &str) -> std::io::Result<()> {
         if !self.completed.insert(key.to_string()) {
-            return Ok(()); // already on record (e.g. a resumed cache hit)
+            return Ok(()); // already on record (a resumed cell the cache lost)
         }
         writeln!(self.file, "{key}")?;
         self.file.sync_data()

@@ -1,26 +1,34 @@
-//! The sweep ledger: the executor's result bookkeeping.
+//! The sweep ledger: the executor's result bookkeeping and its only
+//! cache and journal I/O.
 //!
-//! The executor ([`super::exec`]) hands out unfinished cells in spec
-//! order to worker threads and keeps its books here: per-cell slots in
-//! spec order, the fsynced [`SweepJournal`] (including recalling a
-//! resumed campaign's journaled cells from the cache before any work is
-//! handed out), the campaign's start, queue, terminal, throughput and
-//! finish telemetry, the per-cell progress line, and the final
-//! [`SweepReport`].
+//! The ledger computes every cell's cache key once, when it opens. It
+//! then reads the whole grid from the result cache on the caller's
+//! thread, in spec order, and books each hit before the executor
+//! ([`super::exec`]) spawns a worker: workers get only the misses, and a
+//! fully-warm sweep spawns none. A computed cell comes back to the ledger
+//! as a result; the ledger opens the fsynced [`SweepJournal`] if this is
+//! the campaign's first computed cell, stores the metrics in the cache
+//! and journals the key. A cache hit writes nothing, so a warm sweep only
+//! reads. Opening the journal before the first store keeps "a cache entry
+//! this campaign computed is on disk only with its journal" true even if
+//! the process is killed between the two.
 //!
-//! The ledger is also the campaign's only telemetry writer. A cell's
-//! attempts run on a worker thread, so each attempt's start and retry
-//! reach the ledger as a [`Note`] through [`Ledger::note`] over the
-//! executor's result channel — the same path, and so the same order, as
-//! the cell's terminal result.
+//! The ledger also keeps the per-cell slots in spec order, the campaign's
+//! start, queue, terminal, throughput and finish telemetry, the per-cell
+//! progress line, and the final [`SweepReport`]. It is the campaign's only
+//! telemetry writer. A cell's attempts run on a worker thread, so each
+//! attempt's start and retry reach the ledger as a [`Note`] through
+//! [`Ledger::note`] over the executor's result channel — the same path,
+//! and so the same order, as the cell's terminal result.
 //!
 //! Every cell reaches the ledger through [`Ledger::record`] at most once,
 //! which is what makes "exactly one terminal event per cell" hold.
 
-use super::journal::{sweep_digest, SweepJournal};
+use super::journal::{keys_digest, SweepJournal};
 use super::{CellFailure, CellSpec, SweepOptions, SweepOutcome, SweepReport};
+use crate::metrics::Metrics;
 use crate::telemetry::CampaignEvent;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// One cell's terminal result.
 pub(crate) type CellResult = Result<SweepOutcome, CellFailure>;
@@ -36,11 +44,25 @@ pub(crate) enum Note {
     Retried { attempt: u32, error: String },
 }
 
+/// Where the campaign's journal stands.
+enum Journal {
+    /// Not opened: no cell has been computed yet (and no journal was
+    /// resumed).
+    Closed,
+    Open(SweepJournal),
+    /// Opening failed (logged once); the sweep runs without crash resume.
+    Unavailable,
+}
+
 /// The books of one sweep run (see the module docs).
 pub(crate) struct Ledger<'a> {
     cells: &'a [CellSpec],
     opts: &'a SweepOptions,
-    journal: Option<SweepJournal>,
+    /// Each cell's cache key, computed once; empty without a cache.
+    keys: Vec<String>,
+    /// The journal's digest, derived from `keys`.
+    digest: String,
+    journal: Journal,
     slots: Vec<Option<CellResult>>,
     done: usize,
     cache_hits: usize,
@@ -49,16 +71,39 @@ pub(crate) struct Ledger<'a> {
 }
 
 impl<'a> Ledger<'a> {
-    /// Opens the journal, announces the campaign (`workers` is reported
-    /// in its start event), and recalls every journaled cell from the
-    /// cache, so a resumed run hands out only the remainder.
+    /// Computes the cells' keys, reopens the journal of a resumed
+    /// campaign, announces the campaign (`workers` is reported in its
+    /// start event), and books every cell the cache holds, so the caller
+    /// hands out only the misses.
     pub(crate) fn open(cells: &'a [CellSpec], opts: &'a SweepOptions, workers: usize) -> Self {
-        let journal = open_journal(cells, opts);
+        let keys: Vec<String> = match opts.result_cache {
+            Some(_) => cells.iter().map(CellSpec::cache_key).collect(),
+            None => Vec::new(),
+        };
+        let mut ledger = Ledger {
+            cells,
+            opts,
+            digest: keys_digest(&keys),
+            keys,
+            journal: Journal::Closed,
+            slots: std::iter::repeat_with(|| None).take(cells.len()).collect(),
+            done: 0,
+            cache_hits: 0,
+            failed: 0,
+            started: Instant::now(),
+        };
+        if opts.resume && ledger.journal_on_disk() {
+            ledger.open_journal();
+        }
+        let resumed = match &ledger.journal {
+            Journal::Open(j) => j.completed(),
+            _ => 0,
+        };
         let tel = &opts.telemetry;
         tel.emit(|| CampaignEvent::CampaignStarted {
             total: cells.len(),
             workers,
-            resumed: journal.as_ref().map_or(0, SweepJournal::completed),
+            resumed,
         });
         if tel.is_on() {
             for (idx, cell) in cells.iter().enumerate() {
@@ -68,53 +113,37 @@ impl<'a> Ledger<'a> {
                 });
             }
         }
-        let mut ledger = Ledger {
-            cells,
-            opts,
-            journal,
-            slots: std::iter::repeat_with(|| None).take(cells.len()).collect(),
-            done: 0,
-            cache_hits: 0,
-            failed: 0,
-            started: Instant::now(),
-        };
-        ledger.recall();
+        if let Journal::Open(j) = &ledger.journal {
+            if opts.progress && resumed > 0 {
+                let journaled = ledger.keys.iter().filter(|k| j.is_completed(k)).count();
+                eprintln!(
+                    "sweep: resuming {} — {journaled}/{} cells already complete",
+                    j.path().display(),
+                    cells.len()
+                );
+            }
+        }
+        ledger.serve_cached();
         ledger
     }
 
-    /// Serves journaled cells from the cache. A journaled key missing
-    /// from the cache (eviction, corrupt entry) simply recomputes: the
-    /// journal is accounting, the cache is truth.
-    fn recall(&mut self) {
+    /// Books every cell the cache holds as a hit, in spec order, timed
+    /// by its load. A journaled cell missing from the cache (eviction,
+    /// corrupt entry) is simply a miss: the journal is accounting, the
+    /// cache is truth.
+    fn serve_cached(&mut self) {
         let opts = self.opts;
-        let (Some(j), Some(cache)) = (&self.journal, &opts.result_cache) else {
+        let Some(cache) = &opts.result_cache else {
             return;
         };
-        if j.completed() == 0 {
-            return;
-        }
-        let recalled: Vec<(usize, String)> = self
-            .cells
-            .iter()
-            .map(CellSpec::cache_key)
-            .enumerate()
-            .filter(|(_, key)| j.is_completed(key))
-            .collect();
-        if opts.progress {
-            eprintln!(
-                "sweep: resuming {} — {}/{} cells already complete",
-                j.path().display(),
-                recalled.len(),
-                self.cells.len()
-            );
-        }
-        for (idx, key) in recalled {
-            if let Some(metrics) = cache.load(&key) {
+        for idx in 0..self.cells.len() {
+            let start = Instant::now();
+            if let Some(metrics) = cache.load(&self.keys[idx]) {
                 let outcome = SweepOutcome {
                     cell: self.cells[idx].clone(),
                     metrics,
                     cached: true,
-                    elapsed: Duration::ZERO,
+                    elapsed: start.elapsed(),
                 };
                 self.record(idx, Ok(outcome));
             }
@@ -145,19 +174,19 @@ impl<'a> Ledger<'a> {
         });
     }
 
-    /// Records cell `idx`'s terminal result: the progress line, the
-    /// cell's one terminal telemetry event, a throughput sample, the
-    /// journal line for a success, and the slot.
+    /// Records cell `idx`'s terminal result: for a computed success the
+    /// cache entry and journal line, then the progress line, the cell's
+    /// one terminal telemetry event, a throughput sample, and the slot.
     pub(crate) fn record(&mut self, idx: usize, result: CellResult) {
         debug_assert!(self.slots[idx].is_none(), "terminal results are unique");
+        match &result {
+            Ok(o) if o.cached => self.cache_hits += 1,
+            Ok(o) => self.persist(idx, &o.metrics),
+            Err(_) => self.failed += 1,
+        }
         self.done += 1;
         if self.opts.progress {
             self.progress(&result);
-        }
-        match &result {
-            Ok(o) if o.cached => self.cache_hits += 1,
-            Err(_) => self.failed += 1,
-            _ => {}
         }
         let tel = &self.opts.telemetry;
         emit_terminal(tel, idx, &result);
@@ -181,15 +210,54 @@ impl<'a> Ledger<'a> {
                 eta_ms,
             }
         });
-        if result.is_ok() {
-            if let Some(j) = self.journal.as_mut() {
-                let cell = &self.cells[idx];
-                if let Err(e) = j.record(&cell.cache_key()) {
-                    eprintln!("sweep: could not journal {}: {e}", cell.label());
-                }
+        self.slots[idx] = Some(result);
+    }
+
+    /// Stores computed cell `idx` in the cache and journals it, opening
+    /// the journal first if this is the campaign's first computed cell.
+    /// Both are best-effort: a failed store costs a recomputation next
+    /// run, a failed journal line only crash accounting.
+    fn persist(&mut self, idx: usize, metrics: &Metrics) {
+        let opts = self.opts;
+        let Some(cache) = &opts.result_cache else {
+            return;
+        };
+        if matches!(self.journal, Journal::Closed) {
+            self.open_journal();
+        }
+        let (cell, key) = (&self.cells[idx], &self.keys[idx]);
+        if let Err(e) = cache.store(key, metrics) {
+            eprintln!("sweep: could not cache {}: {e}", cell.label());
+        }
+        if let Journal::Open(j) = &mut self.journal {
+            if let Err(e) = j.record(key) {
+                eprintln!("sweep: could not journal {}: {e}", cell.label());
             }
         }
-        self.slots[idx] = Some(result);
+    }
+
+    /// Opens the journal next to the result cache, keeping its record
+    /// only when resuming. An unopenable journal (another live campaign
+    /// holds it, or a filesystem error) only costs crash accounting.
+    fn open_journal(&mut self) {
+        let Some(cache) = &self.opts.result_cache else {
+            return;
+        };
+        self.journal = match SweepJournal::open(cache.dir(), &self.digest, self.opts.resume) {
+            Ok(j) => Journal::Open(j),
+            Err(e) => {
+                eprintln!("sweep: journal unavailable ({e}); crash resume disabled");
+                Journal::Unavailable
+            }
+        };
+    }
+
+    /// Whether a journal for this sweep exists next to the cache.
+    fn journal_on_disk(&self) -> bool {
+        self.opts
+            .result_cache
+            .as_ref()
+            .is_some_and(|c| SweepJournal::path_in(c.dir(), &self.digest).exists())
     }
 
     /// One progress line per finished cell, on stderr.
@@ -213,12 +281,13 @@ impl<'a> Ledger<'a> {
     }
 
     /// Closes the books: slots become the report in spec order (unfilled
-    /// ones count as skipped), a complete run deletes its journal — an
-    /// existing journal always means "unfinished, resumable" — and the
+    /// ones count as skipped), a complete run removes its journal — the
+    /// one it opened, or one an earlier run left for the same cells — so
+    /// an existing journal always means "unfinished, resumable", and the
     /// finish event is emitted.
-    pub(crate) fn into_report(self) -> SweepReport {
+    pub(crate) fn into_report(mut self) -> SweepReport {
         let mut out = SweepReport::default();
-        for slot in self.slots {
+        for slot in std::mem::take(&mut self.slots) {
             match slot {
                 Some(Ok(o)) => out.outcomes.push(o),
                 Some(Err(f)) => out.failures.push(f),
@@ -226,7 +295,11 @@ impl<'a> Ledger<'a> {
             }
         }
         if out.is_complete() {
-            if let Some(j) = self.journal {
+            // Opening takes the lock, so a live campaign's journal stays.
+            if matches!(self.journal, Journal::Closed) && self.journal_on_disk() {
+                self.open_journal();
+            }
+            if let Journal::Open(j) = std::mem::replace(&mut self.journal, Journal::Closed) {
                 j.finish().ok();
             }
         }
@@ -279,27 +352,14 @@ fn emit_terminal(tel: &crate::telemetry::Telemetry, idx: usize, result: &CellRes
     }
 }
 
-/// Opens the sweep journal next to the result cache. Journaling is
-/// best-effort: a cache-less sweep has nothing durable to resume from,
-/// and an unopenable journal only costs crash accounting.
-fn open_journal(cells: &[CellSpec], opts: &SweepOptions) -> Option<SweepJournal> {
-    let cache = opts.result_cache.as_ref()?;
-    match SweepJournal::open(cache.dir(), &sweep_digest(cells), opts.resume) {
-        Ok(j) => Some(j),
-        Err(e) => {
-            eprintln!("sweep: journal unavailable ({e}); crash resume disabled");
-            None
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::{GpuConfig, TmSystem};
     use crate::metrics::Metrics;
-    use crate::sweep::{FailureKind, ResultCache};
+    use crate::sweep::{sweep_digest, FailureKind, ResultCache};
     use crate::telemetry::{MemorySink, Telemetry};
+    use std::time::Duration;
     use workloads::suite::{Benchmark, Scale};
 
     fn tmp_dir(tag: &str) -> std::path::PathBuf {
@@ -411,13 +471,14 @@ mod tests {
         ledger.record(0, Ok(outcome(0, false, false)));
         ledger.record(2, Ok(outcome(2, true, false)));
         assert!(ledger.is_filled(2) && !ledger.is_filled(4));
-        let journal = ledger.journal.as_ref().expect("cache attached").path();
+        let journal = dir.join(format!("sweep-{}.journal", sweep_digest(&cells)));
         let lines = std::fs::read_to_string(journal).expect("journal on disk");
         let report = ledger.into_report();
 
-        // Journal: the header, then one line per success in arrival order.
+        // Journal: the header, then one line per computed success in
+        // arrival order; the cache hit (cell 2) writes none.
         let keys: Vec<&str> = lines.lines().skip(1).collect();
-        let want: Vec<String> = [3, 0, 2].iter().map(|&i| cells[i].cache_key()).collect();
+        let want: Vec<String> = [3, 0].iter().map(|&i| cells[i].cache_key()).collect();
         assert_eq!(keys, want);
 
         // Report: spec order, the unfilled slot skipped.

@@ -195,11 +195,17 @@ pub struct SweepOptions {
     /// cooperatively and reported as [`FailureKind::TimedOut`]. `None`
     /// (the default) lets cells run to the engine's own cycle limit.
     pub cell_timeout: Option<Duration>,
-    /// Honor an existing sweep journal: report previously completed cells
-    /// and recompute only the rest. Off, an existing journal for this
-    /// sweep is discarded and the sweep starts over (the result cache,
-    /// if attached, still serves whatever it holds). Journaling itself is
-    /// automatic whenever a cache is attached.
+    /// Continue an existing sweep journal. Every cell the result cache
+    /// holds is served from it either way, so resume changes no result:
+    /// on, the journal of an interrupted run of the same cells is reopened
+    /// at start, its count of computed cells is reported (the progress
+    /// line and [`CampaignEvent::CampaignStarted`]'s `resumed`), and this
+    /// run's computed cells are appended to it. Off, an existing journal
+    /// is discarded at this run's first computed cell. Journaling itself
+    /// is automatic whenever a cache is attached, and a complete run
+    /// removes the journal either way.
+    ///
+    /// [`CampaignEvent::CampaignStarted`]: crate::telemetry::CampaignEvent::CampaignStarted
     pub resume: bool,
     /// Campaign telemetry: cell-lifecycle and throughput events fanned out
     /// to the attached sinks (JSONL, live dashboard, Prometheus snapshot).
@@ -302,11 +308,14 @@ pub struct SweepOutcome {
 /// parallel execution — and cache hits from previous runs — are
 /// bit-identical.
 ///
-/// With a result cache attached, completed cells are additionally
-/// journaled (append-only, fsynced) next to the cache, so a killed
-/// process can be resumed with [`SweepOptions::resume`]: previously
-/// completed cells are recalled, unfinished cells recompute, and the
-/// combined outcomes are bit-identical to an uninterrupted run.
+/// With a result cache attached, every cell the cache holds is read on
+/// the caller's thread before any worker starts, and only the misses are
+/// computed. Each computed cell is stored in the cache and journaled
+/// (append-only, fsynced) next to it, so a killed process can be resumed
+/// with [`SweepOptions::resume`]: previously computed cells are recalled
+/// from the cache, unfinished cells recompute, and the combined outcomes
+/// are bit-identical to an uninterrupted run. A fully-warm sweep only
+/// reads: it spawns no thread and writes no file.
 pub fn run_sweep_report(spec: &ExperimentSpec, opts: &SweepOptions) -> SweepReport {
     exec::run_report(spec.cells(), opts)
 }
