@@ -12,7 +12,7 @@
 //! branch on `None`; (c) is typically well under 0.1% of (a)).
 
 use gputm::config::{GpuConfig, TmSystem};
-use gputm::sweep::{run_sweep_report, CellSpec, ExperimentSpec, SweepOptions};
+use gputm::sweep::{run_sweep_report, CellSpec, ExperimentSpec, ResultCache, SweepOptions};
 use gputm::telemetry::{CampaignEvent, MemorySink, Telemetry};
 use sim_core::{AbortCause, Recorder, SimEvent, Stamp};
 use std::hint::black_box;
@@ -244,5 +244,68 @@ fn disabled_sweep_robustness_costs_less_than_two_percent_of_a_run() {
     panic!(
         "fault-isolated executor: median swept/direct ratio {ratio:.4} over {PAIRS} pairs \
          (scheduling grant {grant:?} per pair) — the disabled robustness path must stay within 2%"
+    );
+}
+
+/// A fully-warm sweep against the cache reads it stands for: once every
+/// cell of the 45-cell tiny grid is cached, `run_sweep_report` must cost
+/// at most twice computing each cell's key and loading its entry
+/// directly. A warm sweep's only necessary work is those reads; this
+/// guard catches a warm pass that writes (journal lines, fsyncs), hashes
+/// a key more than once, or spawns workers to read files. Same pairing
+/// as the robustness guard: [`PAIRS`] pairs in alternating order, each
+/// side on a fresh scoped thread, gated on the median of the pairs'
+/// swept/direct ratios.
+#[test]
+fn a_warm_sweep_costs_at_most_twice_its_cache_reads() {
+    let _serial = timing_lock();
+    let dir = std::env::temp_dir().join(format!("getm-warm-guard-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let spec = ExperimentSpec::grid()
+        .benchmarks(workloads::suite::Benchmark::ALL)
+        .systems(TmSystem::ALL)
+        .scale(workloads::suite::Scale::Fast)
+        .base(GpuConfig::tiny_test())
+        .build();
+    assert_eq!(spec.len(), 45);
+    let cache = ResultCache::new(&dir);
+    let opts = SweepOptions::new().threads(2).cache(cache.clone());
+    assert!(run_sweep_report(&spec, &opts).is_complete(), "cold pass");
+
+    let on_fresh_thread = |f: &(dyn Fn() + Sync)| {
+        let t = Instant::now();
+        std::thread::scope(|scope| {
+            scope.spawn(f);
+        });
+        t.elapsed()
+    };
+    let direct = || {
+        for cell in spec.cells() {
+            black_box(cache.load(&cell.cache_key()).expect("cached"));
+        }
+    };
+    let swept = || {
+        let report = run_sweep_report(&spec, &opts);
+        assert!(report.is_complete() && report.outcomes.iter().all(|o| o.cached));
+        black_box(&report.outcomes);
+    };
+    let mut ratios = Vec::with_capacity(PAIRS);
+    for pair in 0..PAIRS {
+        let (d, s) = if pair % 2 == 0 {
+            let d = on_fresh_thread(&direct);
+            (d, on_fresh_thread(&swept))
+        } else {
+            let s = on_fresh_thread(&swept);
+            (on_fresh_thread(&direct), s)
+        };
+        ratios.push(s.as_secs_f64() / d.as_secs_f64());
+    }
+    std::fs::remove_dir_all(&dir).ok();
+    let ratio = median(ratios);
+    eprintln!("warm sweep vs direct cache reads: median ratio {ratio:.3} over {PAIRS} pairs");
+    assert!(
+        ratio <= 2.0,
+        "a fully-warm sweep costs {ratio:.2}x its direct cache reads (median of {PAIRS} \
+         pairs); a warm pass must only read"
     );
 }
