@@ -493,6 +493,20 @@ mod tests {
         }
     }
 
+    /// An injected cell that computes instantly, with metrics that name
+    /// its benchmark.
+    fn computes(cell: &CellSpec, _: &RunOptions) -> Result<Metrics, SimError> {
+        Ok(Metrics {
+            cycles: 100 + cell.benchmark as u64,
+            ..Metrics::default()
+        })
+    }
+
+    /// An injected cell that panics: only the cache can produce results.
+    fn must_hit(cell: &CellSpec, _: &RunOptions) -> Result<Metrics, SimError> {
+        panic!("{} must be served from the cache", cell.label())
+    }
+
     #[test]
     fn a_fully_warm_sweep_is_served_from_the_cache_alone() {
         use crate::sweep::ResultCache;
@@ -500,27 +514,18 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("getm-exec-warm-{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
         let cells = cells(6);
-        let cold = injected(FailurePolicy::CollectAll, |cell, _| {
-            Ok(Metrics {
-                cycles: 100 + cell.benchmark as u64,
-                ..Metrics::default()
-            })
-        })
-        .threads(2)
-        .cache(ResultCache::new(&dir));
+        let cold = injected(FailurePolicy::CollectAll, computes)
+            .threads(2)
+            .cache(ResultCache::new(&dir));
         let first = run_report(&cells, &cold);
         assert!(first.is_complete());
         assert!(first.outcomes.iter().all(|o| !o.cached));
 
-        // Warm: a runner that would panic on any cell, so only the cache
-        // can have produced the results.
         let (sink, captured) = MemorySink::new();
-        let warm = injected(FailurePolicy::FailFast, |cell, _| {
-            panic!("{} must be served from the cache", cell.label())
-        })
-        .threads(2)
-        .cache(ResultCache::new(&dir))
-        .telemetry(Telemetry::to_sinks(vec![Box::new(sink)]));
+        let warm = injected(FailurePolicy::FailFast, must_hit)
+            .threads(2)
+            .cache(ResultCache::new(&dir))
+            .telemetry(Telemetry::to_sinks(vec![Box::new(sink)]));
         let report = run_report(&cells, &warm);
         assert!(report.is_complete(), "{:?}", report.failures);
         assert!(report.outcomes.iter().all(|o| o.cached));
@@ -548,13 +553,7 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
         let cells = cells(4);
         let cache = ResultCache::new(&dir);
-        let cold = injected(FailurePolicy::CollectAll, |cell, _| {
-            Ok(Metrics {
-                cycles: 100 + cell.benchmark as u64,
-                ..Metrics::default()
-            })
-        })
-        .cache(cache.clone());
+        let cold = injected(FailurePolicy::CollectAll, computes).cache(cache.clone());
         let first = run_report(&cells, &cold);
         assert!(first.is_complete());
 
@@ -571,12 +570,10 @@ mod tests {
         };
         let warm = |resume: bool| {
             let (sink, captured) = MemorySink::new();
-            let opts = injected(FailurePolicy::FailFast, |cell, _| {
-                panic!("{} must be served from the cache", cell.label())
-            })
-            .cache(cache.clone())
-            .resume(resume)
-            .telemetry(Telemetry::to_sinks(vec![Box::new(sink)]));
+            let opts = injected(FailurePolicy::FailFast, must_hit)
+                .cache(cache.clone())
+                .resume(resume)
+                .telemetry(Telemetry::to_sinks(vec![Box::new(sink)]));
             let report = run_report(&cells, &opts);
             let events: Vec<CampaignEvent> =
                 captured.lock().unwrap().drain(..).map(|e| e.1).collect();
